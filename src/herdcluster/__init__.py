@@ -25,7 +25,6 @@ from .stats import (
     CorrelationMatrix,
     FeatureSelection,
     StandardizedMatrix,
-    ZScoreScaler,
     correlation_matrix,
     label_correlation,
     pearson_r,
@@ -36,7 +35,6 @@ from .clustering import (
     ElbowResult,
     KMeansConfig,
     KMeansModel,
-    OrderedKMeans,
     assign,
     detect_knee,
     elbow_scan,
@@ -68,7 +66,6 @@ __all__ = [
     "KMeansConfig",
     "KMeansModel",
     "NumericalError",
-    "OrderedKMeans",
     "PRESETS",
     "PipelineConfig",
     "ReplicateTable",
@@ -77,7 +74,6 @@ __all__ = [
     "StandardizedMatrix",
     "TukeyResult",
     "ValidationError",
-    "ZScoreScaler",
     "aggregate_scores",
     "assign",
     "collapse_replicates",

@@ -14,18 +14,20 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, data
-from .clustering import KMeansConfig, elbow_scan, kmeans_fit, order_clusters
-from .dataset import describe_all, load_table
+from .clustering import KMeansConfig
+from .dataset import describe_all, load_table, read_csv
 from .errors import NumericalError, ValidationError
 from .inference import one_way_anova, tukey_hsd
-from .pipeline import PRESETS, PipelineConfig, run_pipeline
-from .stats import correlation_matrix, select_features, zscore
+from .pipeline import (
+    PRESETS, PipelineConfig, correlate, fit_model, run_pipeline, scan_k,
+    write_labels_csv,
+)
+from .stats import select_features, zscore
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -36,10 +38,7 @@ def _resolve_input(raw: str) -> Path:
         return data.scores_path()
     if raw == "builtin:synthetic":
         return data.synthetic_path()
-    path = Path(raw)
-    if not path.exists():
-        raise ValidationError(f"input file not found: {raw}")
-    return path
+    return Path(raw)  # read_csv reports a missing or unreadable file
 
 
 def _split_keys(raw: str | None) -> tuple[str, ...]:
@@ -82,72 +81,68 @@ def cmd_describe(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    table = load_table(_resolve_input(args.input))
-    keys = [k for k in table.keys if table.column(k).std() > 0.0]
-    corr = correlation_matrix(table, keys)
-    if args.out:
-        if args.format == "json":
-            corr.to_json(args.out)
-        else:
-            corr.to_csv(args.out)
+    corr = correlate(load_table(_resolve_input(args.input)))
+    if args.format == "json":
+        text = json.dumps(corr.as_dict(), indent=2, sort_keys=True) + "\n"
     else:
-        if args.format == "json":
-            sys.stdout.write(json.dumps(corr.as_dict(), indent=2, sort_keys=True) + "\n")
-        else:
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["key", *corr.keys])
-            for i, key in enumerate(corr.keys):
-                writer.writerow([key, *(f"{v:.4f}" for v in corr.r[i])])
+        text = corr.csv_text()
+    _write_or_print(text, args.out)
     return 0
 
 
 def cmd_cluster(args) -> int:
     table = load_table(_resolve_input(args.input))
-    keys = [k for k in table.keys if table.column(k).std() > 0.0]
-    corr = correlation_matrix(table, keys)
     selection = select_features(
-        corr, args.target, args.features, _split_keys(args.exclude) + (args.target,)
+        correlate(table), args.target, args.features,
+        _split_keys(args.exclude) + (args.target,),
     )
     z = zscore(table, selection.selected)
-    cfg = KMeansConfig(k=args.k or 1, seed=args.seed)
-    if args.k is None:
-        lo, hi = _parse_k_range(args.k_range)
-        elbow = elbow_scan(z, (lo, min(hi, table.n_animals)), cfg)
-        if elbow.knee is None:
-            raise ValidationError(
-                "no knee detected in the distortion curve; pass --k"
-            )
-        cfg = replace(cfg, k=elbow.knee)
-    model = order_clusters(kmeans_fit(z, cfg))
+    kcfg = KMeansConfig(k=1, seed=args.seed)  # k is set per fit
+    elbow = None if args.k is not None else scan_k(z, _parse_k_range(args.k_range), kcfg)
+    model = fit_model(z, args.k, elbow, kcfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model.centroids_to_csv(out / "centroids.csv")
     model.to_json(out / "model.json")
-    with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["animal_id", "cluster"])
-        for animal, label in zip(table.animal_ids, model.labels):
-            writer.writerow([animal, int(label)])
+    write_labels_csv(out / "labels.csv", table, model.labels)
     print(f"k={model.k} inertia={model.inertia:.6f} features={','.join(selection.selected)}")
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    table = load_table(_resolve_input(args.input))
-    labels_path = Path(args.labels)
-    if not labels_path.exists():
-        raise ValidationError(f"labels file not found: {args.labels}")
-    with open(labels_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "animal_id" not in reader.fieldnames \
-                or "cluster" not in reader.fieldnames:
-            raise ValidationError("labels CSV needs animal_id,cluster columns")
-        by_animal = {row["animal_id"]: int(row["cluster"]) for row in reader}
+def _read_labels(path, animal_ids) -> np.ndarray:
+    """Cluster labels from an `animal_id,cluster` CSV, in `animal_ids` order."""
+    records = read_csv(path)
+    _, header = next(records)
+    if "animal_id" not in header or "cluster" not in header:
+        raise ValidationError("labels CSV needs animal_id,cluster columns")
+    by_animal = {}
+    for lineno, rec in records:
+        if len(rec) != len(header):
+            raise ValidationError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
+            )
+        row = dict(zip(header, rec))
+        try:
+            label = np.int64(row["cluster"])
+        except (ValueError, OverflowError):
+            raise ValidationError(
+                f"{path}:{lineno}: cluster {row['cluster']!r} is not a 64-bit integer"
+            ) from None
+        if row["animal_id"] in by_animal:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate animal_id {row['animal_id']}"
+            )
+        by_animal[row["animal_id"]] = label
     try:
-        labels = np.array([by_animal[a] for a in table.animal_ids])
+        return np.array([by_animal[a] for a in animal_ids])
     except KeyError as exc:
         raise ValidationError(f"labels missing animal {exc.args[0]}") from None
+
+
+def cmd_evaluate(args) -> int:
+    table = load_table(_resolve_input(args.input))
+    labels = _read_labels(args.labels, table.animal_ids)
 
     values = table.column(args.target)
     anova = one_way_anova(values, labels)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -51,10 +51,7 @@ class KMeansConfig:
             raise ValidationError(f"unknown init method: {self.init}")
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k, "max_iter": self.max_iter, "tol": self.tol,
-            "n_restarts": self.n_restarts, "seed": self.seed, "init": self.init,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -277,11 +274,14 @@ def assign(model: KMeansModel, new_points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ElbowResult:
-    """Distortion-vs-k curve with the detected knee, if any."""
+    """Distortion-vs-k curve with the detected knee, if any. `models`
+    holds the fit behind each distortion, for reuse; it is left out of
+    equality and of `as_dict`."""
 
     k_values: tuple[int, ...]
     distortions: tuple[float, ...]
     knee: int | None
+    models: tuple[KMeansModel, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         for prev, cur in zip(self.distortions, self.distortions[1:]):
@@ -328,7 +328,8 @@ def detect_knee(k_values: Sequence[int], distortions: Sequence[float]) -> int | 
 
 def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
     """Distortion (best-restart inertia) for every k in the inclusive
-    range, with knee detection."""
+    range, with knee detection. Each k is fitted on `z` itself, so the
+    kept models carry the feature keys and scaling of a StandardizedMatrix."""
     X = _as_points(z)
     lo, hi = int(k_range[0]), int(k_range[1])
     if lo > hi:
@@ -338,59 +339,8 @@ def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
             f"k range [{lo}, {hi}] outside [1, {X.shape[0]}]"
         )
     k_values = list(range(lo, hi + 1))
-    distortions = [
-        kmeans_fit(X, replace(cfg, k=k)).inertia for k in k_values
-    ]
+    models = [kmeans_fit(z, replace(cfg, k=k)) for k in k_values]
+    distortions = [m.inertia for m in models]
     knee = detect_knee(k_values, distortions) if len(k_values) >= 3 else None
-    return ElbowResult(tuple(k_values), tuple(distortions), knee)
+    return ElbowResult(tuple(k_values), tuple(distortions), knee, tuple(models))
 
-
-class OrderedKMeans:
-    """Estimator-style wrapper: fit(X) runs seeded best-of-restarts
-    k-means and renumbers clusters by first centroid coordinate;
-    predict(X) assigns new points to the fitted centroids."""
-
-    def __init__(self, k=3, max_iter=300, tol=1e-6, n_restarts=10, seed=0,
-                 init="kmeanspp"):
-        self.k = k
-        self.max_iter = max_iter
-        self.tol = tol
-        self.n_restarts = n_restarts
-        self.seed = seed
-        self.init = init
-
-    def _config(self) -> KMeansConfig:
-        return KMeansConfig(
-            k=self.k, max_iter=self.max_iter, tol=self.tol,
-            n_restarts=self.n_restarts, seed=self.seed, init=self.init,
-        )
-
-    def fit(self, X, y=None):
-        model = order_clusters(kmeans_fit(X, self._config()))
-        self.model_ = model
-        self.centroids_ = model.centroids
-        self.labels_ = model.labels
-        self.inertia_ = model.inertia
-        return self
-
-    def fit_predict(self, X, y=None):
-        return self.fit(X).labels_
-
-    def predict(self, X):
-        if not hasattr(self, "model_"):
-            raise ValidationError("estimator is not fitted")
-        return assign(self.model_, X)
-
-    def get_params(self, deep=True):
-        return {
-            "k": self.k, "max_iter": self.max_iter, "tol": self.tol,
-            "n_restarts": self.n_restarts, "seed": self.seed, "init": self.init,
-        }
-
-    def set_params(self, **params):
-        valid = self.get_params()
-        for name, value in params.items():
-            if name not in valid:
-                raise ValidationError(f"unknown parameter: {name}")
-            setattr(self, name, value)
-        return self

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -20,16 +20,6 @@ from .errors import ValidationError
 
 GRADER_KEYS = ("S1", "S2", "S3")
 DERIVED_SCORE_KEY = "SS"
-
-#: Measurement identifiers used by the bundled datasets. User-defined
-#: uppercase alphanumeric keys are equally valid.
-KNOWN_KEYS = frozenset(
-    {
-        "BW", "CH", "WH", "RH", "SL", "SVH", "SA", "CW", "DL", "DA",
-        "FW", "DMI", "RFI", "ADG", "SC", "LEA",
-        "S1", "S2", "S3", "SS",
-    }
-)
 
 _KEY_RE = re.compile(r"^[A-Z0-9_]+$")
 
@@ -113,27 +103,22 @@ class ReplicateTable:
 
     @classmethod
     def from_csv(cls, path) -> "ReplicateTable":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValidationError(f"{path}: empty file")
-            expected = ["animal_id", "key", "value", "source"]
-            if [h.strip().lower() for h in header] != expected:
-                raise ValidationError(
-                    f"{path}: replicate CSV header must be {','.join(expected)}"
-                )
-            rows = []
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec or all(not c.strip() for c in rec):
-                    continue
-                if len(rec) != 4:
-                    raise ValidationError(f"{path}:{lineno}: expected 4 fields")
-                animal, key, raw, source = (c.strip() for c in rec)
-                rows.append(
-                    ReplicateRow(animal, canonical_key(key),
-                                 _parse_cell(raw, path, lineno, key), source)
-                )
+        records = read_csv(path)
+        _, header = next(records)
+        expected = ["animal_id", "key", "value", "source"]
+        if [h.strip().lower() for h in header] != expected:
+            raise ValidationError(
+                f"{path}: replicate CSV header must be {','.join(expected)}"
+            )
+        rows = []
+        for lineno, rec in records:
+            if len(rec) != 4:
+                raise ValidationError(f"{path}:{lineno}: expected 4 fields")
+            animal, key, raw, source = (c.strip() for c in rec)
+            rows.append(
+                ReplicateRow(animal, canonical_key(key),
+                             _parse_cell(raw, path, lineno, key), source)
+            )
         return cls(tuple(rows))
 
 
@@ -151,11 +136,7 @@ class DescriptiveStats:
     max: float
 
     def as_dict(self) -> dict:
-        return {
-            "key": self.key, "mean": self.mean, "std": self.std,
-            "min": self.min, "q25": self.q25, "q50": self.q50,
-            "q75": self.q75, "max": self.max,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -166,6 +147,24 @@ class ScoreSummary:
     scores: tuple[float, ...]
     mean: float
     std: float
+
+
+def read_csv(path) -> Iterator[tuple[int, list[str]]]:
+    """Stream (line number, record) for the header (line 1) and each
+    non-blank record of a UTF-8 CSV file. A missing, empty, undecodable or
+    malformed file raises ValidationError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file")
+            yield 1, header
+            for lineno, rec in enumerate(reader, start=2):
+                if rec and any(c.strip() for c in rec):
+                    yield lineno, rec
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
 
 
 def _parse_cell(raw: str, path, lineno: int, colname: str) -> float:
@@ -201,43 +200,35 @@ def load_table(path, schema: Iterable[str] | None = None) -> HerdTable:
     """Read a wide-format CSV (header row, first column = animal id) into a
     validated HerdTable. When `schema` is given, those keys must all be
     present; extra columns are kept as user-defined keys either way."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        if len(header) < 2:
-            raise ValidationError(f"{path}: need an id column plus measurements")
-        keys = [canonical_key(name) for name in header[1:]]
-        seen = set()
-        for key in keys:
-            if key in seen:
-                raise ValidationError(f"{path}: duplicate column name {key}")
-            seen.add(key)
+    records = read_csv(path)
+    _, header = next(records)
+    if len(header) < 2:
+        raise ValidationError(f"{path}: need an id column plus measurements")
+    keys = [canonical_key(name) for name in header[1:]]
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValidationError(f"{path}: duplicate column name {key}")
+        seen.add(key)
 
-        animal_ids: list[str] = []
-        data: list[list[float]] = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            if len(rec) != len(header):
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
-                )
-            animal = rec[0].strip()
-            if not animal:
-                raise ValidationError(f"{path}:{lineno}: empty animal id")
-            animal_ids.append(animal)
-            data.append(
-                [_parse_cell(raw, path, lineno, keys[i])
-                 for i, raw in enumerate(rec[1:])]
+    animal_ids: list[str] = []
+    data: list[list[float]] = []
+    for lineno, rec in records:
+        if len(rec) != len(header):
+            raise ValidationError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
             )
+        animal = rec[0].strip()
+        if not animal:
+            raise ValidationError(f"{path}:{lineno}: empty animal id")
+        animal_ids.append(animal)
+        data.append(
+            [_parse_cell(raw, path, lineno, keys[i])
+             for i, raw in enumerate(rec[1:])]
+        )
 
     if not animal_ids:
         raise ValidationError(f"{path}: no data rows")
-    if len(set(animal_ids)) != len(animal_ids):
-        dupes = sorted({a for a in animal_ids if animal_ids.count(a) > 1})
-        raise ValidationError(f"{path}: duplicate animal_id: {', '.join(dupes)}")
 
     arr = np.array(data, dtype=float)
     columns = {key: arr[:, i] for i, key in enumerate(keys)}

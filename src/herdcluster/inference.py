@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, NumericalError, ValidationError
 
 # Lanczos approximation, g = 7, 9 coefficients
 _LANCZOS_G = 7.0
@@ -79,7 +79,7 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
-    raise ValidationError(
+    raise NumericalError(
         f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})"
     )
 
@@ -209,15 +209,7 @@ class AnovaResult:
     degenerate: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "f_stat": self.f_stat,
-            "df_between": self.df_between,
-            "df_within": self.df_within,
-            "p_value": self.p_value,
-            "group_means": list(self.group_means),
-            "grand_mean": self.grand_mean,
-            "degenerate": self.degenerate,
-        }
+        return {**asdict(self), "group_means": list(self.group_means)}
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,28 @@
 """Batch pipeline: describe -> correlate -> select -> standardize ->
 elbow -> cluster -> order -> evaluate, with all artifacts written to an
-output directory."""
+output directory. Its stages (`correlate`, `scan_k`, `fit_model`,
+`write_labels_csv`) also make up the `correlate` and `cluster` commands."""
 
 from __future__ import annotations
 
 import csv
 import datetime
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .clustering import KMeansConfig, elbow_scan, kmeans_fit, order_clusters
+from .clustering import (
+    ElbowResult, KMeansConfig, KMeansModel, elbow_scan, kmeans_fit, order_clusters,
+)
 from .charts import emit_boxplot_svg, emit_elbow_svg, emit_scatter_svg
 from .dataset import HerdTable, canonical_key, describe_all, load_table
 from .errors import DegenerateInputError, ValidationError
 from .inference import one_way_anova, tukey_hsd
-from .stats import correlation_matrix, label_correlation, select_features, zscore
+from .stats import (
+    CorrelationMatrix, StandardizedMatrix, correlation_matrix, label_correlation,
+    select_features, zscore,
+)
 
 #: The two measurement-selection configurations used for the published
 #: analysis: dorsum-view features against body weight, and the
@@ -52,17 +58,11 @@ class PipelineConfig:
 
     def as_dict(self) -> dict:
         return {
+            **asdict(self),
             "input_path": str(self.input_path),
-            "target": self.target,
-            "feature_count": self.feature_count,
             "exclude": sorted(self.exclude),
-            "k": self.k,
             "k_range": list(self.k_range),
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "n_restarts": self.n_restarts,
             "output_dir": str(self.output_dir),
-            "emit_charts": self.emit_charts,
         }
 
     @classmethod
@@ -92,12 +92,40 @@ class RunReport:
             fh.write("\n")
 
 
-def _correlation_keys(table: HerdTable) -> list[str]:
-    """Columns usable in the correlation matrix (non-constant)."""
-    return [k for k in table.keys if table.column(k).std() > 0.0]
+def correlate(table: HerdTable) -> CorrelationMatrix:
+    """Pearson matrix over the table's non-constant columns."""
+    return correlation_matrix(
+        table, [k for k in table.keys if table.column(k).std() > 0.0]
+    )
 
 
-def _write_labels_csv(path, table: HerdTable, labels) -> None:
+def scan_k(z: StandardizedMatrix, k_range: tuple[int, int],
+           kcfg: KMeansConfig) -> ElbowResult:
+    """Elbow scan over `k_range`, its upper end clipped to the herd size."""
+    lo, hi = k_range
+    return elbow_scan(z, (lo, min(hi, len(z.animal_ids))), kcfg)
+
+
+def fit_model(z: StandardizedMatrix, k: int | None, elbow: ElbowResult | None,
+              kcfg: KMeansConfig) -> KMeansModel:
+    """Ordered k-means model at `k`, or at the elbow's knee when `k` is
+    None. The elbow's fit with the same config is reused, not refitted."""
+    if k is None:
+        if elbow is None or elbow.knee is None:
+            raise ValidationError(
+                "no knee detected in the distortion curve; pass an explicit k"
+            )
+        k = elbow.knee
+    n = len(z.animal_ids)
+    if not 1 <= k <= n:
+        raise ValidationError(f"k override {k} outside [1, {n}]")
+    want = replace(kcfg, k=k)
+    scanned = {m.config: m for m in elbow.models} if elbow else {}
+    return order_clusters(scanned[want] if want in scanned else kmeans_fit(z, want))
+
+
+def write_labels_csv(path, table: HerdTable, labels) -> None:
+    """`animal_id,cluster` rows in the table's animal order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["animal_id", "cluster"])
@@ -117,33 +145,17 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
 
     stats_block = [d.as_dict() for d in describe_all(table)]
-    corr_keys = _correlation_keys(table)
-    corr = correlation_matrix(table, corr_keys)
+    corr = correlate(table)
     selection = select_features(corr, target, cfg.feature_count, cfg.exclude)
     z = zscore(table, selection.selected)
-
-    n = table.n_animals
-    lo, hi = cfg.k_range
-    hi = min(hi, n)
-    kcfg = KMeansConfig(k=max(lo, 1), seed=cfg.seed, n_restarts=cfg.n_restarts)
-    elbow = elbow_scan(z, (lo, hi), kcfg)
-
-    if cfg.k is not None:
-        k = cfg.k
-        if not 1 <= k <= n:
-            raise ValidationError(f"k override {k} outside [1, {n}]")
-    elif elbow.knee is not None:
-        k = elbow.knee
-    else:
-        raise ValidationError(
-            "no knee detected in the distortion curve; pass an explicit k"
-        )
-
-    model = order_clusters(kmeans_fit(z, replace(kcfg, k=k)))
+    # k is set per fit by scan_k and fit_model
+    kcfg = KMeansConfig(k=1, seed=cfg.seed, n_restarts=cfg.n_restarts)
+    elbow = scan_k(z, cfg.k_range, kcfg)
+    model = fit_model(z, cfg.k, elbow, kcfg)
 
     label_corr = {}
     if model.k > 1:
-        for key in corr_keys:
+        for key in corr.keys:
             try:
                 label_corr[key] = label_correlation(model.labels, table, key)
             except DegenerateInputError:
@@ -165,7 +177,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         return out / name
 
     model.centroids_to_csv(_artifact("centroids.csv"))
-    _write_labels_csv(_artifact("labels.csv"), table, model.labels)
+    write_labels_csv(_artifact("labels.csv"), table, model.labels)
     model.to_json(_artifact("model.json"))
     corr.to_csv(_artifact("correlation.csv"))
 
@@ -183,7 +195,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         "correlation": corr.as_dict(),
         "selection": selection.as_dict(),
         "elbow": elbow.as_dict(),
-        "k": k,
+        "k": model.k,
         "model": model.as_dict(),
         "label_correlation": label_corr,
         "evaluation": evaluation,

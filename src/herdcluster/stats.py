@@ -4,8 +4,9 @@ feature selection."""
 from __future__ import annotations
 
 import csv
+import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,12 +47,18 @@ class CorrelationMatrix:
         j = self.keys.index(canonical_key(key_b))
         return float(self.r[i, j])
 
+    def csv_text(self) -> str:
+        """The matrix as CSV text, every cell at full float precision."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["key", *self.keys])
+        for i, key in enumerate(self.keys):
+            writer.writerow([key, *(repr(float(v)) for v in self.r[i])])
+        return buf.getvalue()
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["key", *self.keys])
-            for i, key in enumerate(self.keys):
-                writer.writerow([key, *(repr(v) for v in self.r[i])])
+            fh.write(self.csv_text())
 
     def as_dict(self) -> dict:
         return {"keys": list(self.keys), "r": [list(map(float, row)) for row in self.r]}
@@ -88,11 +95,8 @@ class FeatureSelection:
     r_values: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "selected": list(self.selected),
-            "r_values": list(self.r_values),
-        }
+        return {**asdict(self), "selected": list(self.selected),
+                "r_values": list(self.r_values)}
 
 
 def select_features(
@@ -100,7 +104,6 @@ def select_features(
     target,
     count: int,
     exclude: Iterable[str] = (),
-    include_target: bool = False,
 ) -> FeatureSelection:
     """Top-`count` keys by absolute correlation with `target`, descending.
     Ties break by the matrix's key order."""
@@ -113,7 +116,7 @@ def select_features(
     t = m.keys.index(target)
     candidates = [
         (i, key) for i, key in enumerate(m.keys)
-        if key not in excluded and (include_target or key != target)
+        if key not in excluded and key != target
     ]
     if count > len(candidates):
         raise ValidationError(
@@ -125,46 +128,6 @@ def select_features(
         selected=tuple(key for _, key in ranked),
         r_values=tuple(float(m.r[t, i]) for i, _ in ranked),
     )
-
-
-class ZScoreScaler:
-    """Column-wise (x - mean) / sample-std transformer with inverse.
-
-    Follows the fit/transform estimator convention; parameters learned by
-    `fit` carry a trailing underscore.
-    """
-
-    def fit(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ValidationError("expected a 2-d array")
-        self.means_ = X.mean(axis=0)
-        self.stds_ = X.std(axis=0, ddof=1)
-        bad = np.where(self.stds_ == 0.0)[0]
-        if bad.size:
-            raise DegenerateInputError(
-                f"zero-variance column(s) at index {bad.tolist()}"
-            )
-        return self
-
-    def transform(self, X):
-        X = np.asarray(X, dtype=float)
-        return (X - self.means_) / self.stds_
-
-    def fit_transform(self, X):
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, Z):
-        Z = np.asarray(Z, dtype=float)
-        return Z * self.stds_ + self.means_
-
-    def get_params(self, deep=True):
-        return {}
-
-    def set_params(self, **params):
-        if params:
-            raise ValidationError(f"unknown parameters: {sorted(params)}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -186,20 +149,17 @@ def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
     """Standardize the selected columns to zero mean, unit sample std."""
     keys = tuple(canonical_key(k) for k in keys)
     X = table.matrix(keys)
-    scaler = ZScoreScaler()
-    try:
-        z = scaler.fit_transform(X)
-    except DegenerateInputError as exc:
-        bad = [keys[i] for i in np.where(X.std(axis=0) == 0.0)[0]]
-        raise DegenerateInputError(
-            f"zero-variance column(s): {', '.join(bad)}"
-        ) from exc
+    means = X.mean(axis=0)
+    stds = X.std(axis=0, ddof=1)
+    bad = [keys[i] for i in np.where(stds == 0.0)[0]]
+    if bad:
+        raise DegenerateInputError(f"zero-variance column(s): {', '.join(bad)}")
     return StandardizedMatrix(
         keys=keys,
         animal_ids=table.animal_ids,
-        z=z,
-        means=scaler.means_,
-        stds=scaler.stds_,
+        z=(X - means) / stds,
+        means=means,
+        stds=stds,
     )
 
 

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herdcluster.cli import main
 
@@ -62,6 +68,16 @@ class TestCorrelateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("key,BW,")
 
+    def test_csv_file_matches_stdout_and_parses(self, tmp_path, capsys):
+        out = tmp_path / "corr.csv"
+        assert main(["correlate", "--input", "builtin:synthetic"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["correlate", "--input", "builtin:synthetic",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes().decode() == printed
+        for line in printed.splitlines()[1:]:
+            assert all(-1.0 <= float(v) <= 1.0 for v in line.split(",")[1:])
+
     def test_json_file(self, tmp_path):
         out = tmp_path / "corr.json"
         assert main(["correlate", "--input", "builtin:synthetic",
@@ -89,6 +105,13 @@ class TestClusterCommand:
                      "--features", "2", "--out", str(out)]) == 0
         assert "k=3" in capsys.readouterr().out
 
+    def test_k_zero_rejected(self, tmp_path, capsys):
+        path, _ = make_blob_csv(tmp_path)
+        assert main(["cluster", "--input", str(path), "--target", "BW",
+                     "--k", "0", "--out", str(tmp_path / "out")]) == 2
+        assert "k override 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvaluateCommand:
     def test_anova_and_tukey(self, tmp_path, capsys):
@@ -114,6 +137,26 @@ class TestEvaluateCommand:
         )
         assert main(["evaluate", "--input", str(path),
                      "--labels", str(labels), "--target", "BW"]) == 2
+
+    def test_non_integer_label(self, tmp_path, capsys):
+        path, _ = make_blob_csv(tmp_path, n=6)
+        for bad in ("1.5", "9" * 25):
+            rows = [[f"a{i}", 1 + i % 2] for i in range(6)]
+            rows[3][1] = bad
+            labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster"], rows)
+            assert main(["evaluate", "--input", str(path),
+                         "--labels", str(labels), "--target", "BW"]) == 2
+            err = capsys.readouterr().err
+            assert "labels.csv:5" in err and repr(bad) in err
+
+    def test_duplicate_animal(self, tmp_path, capsys):
+        path, _ = make_blob_csv(tmp_path, n=6)
+        rows = [[f"a{i}", 1 + i % 2] for i in range(6)] + [["a2", 1]]
+        labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster"], rows)
+        assert main(["evaluate", "--input", str(path),
+                     "--labels", str(labels), "--target", "BW"]) == 2
+        err = capsys.readouterr().err
+        assert "labels.csv:8" in err and "duplicate animal_id a2" in err
 
 
 class TestPipelineCommand:
@@ -193,3 +236,68 @@ class TestPipelineCommand:
     def test_bad_k_range_syntax(self, capsys):
         assert main(["pipeline", "--input", "builtin:synthetic",
                      "--target", "BW", "--k-range", "oops"]) == 2
+
+
+
+_BAD_CELLS = st.one_of(
+    st.sampled_from(["", " ", "nan", "-inf", "1e400", "1e308", "x", '"', "1.5",
+                     "a1", "b w", "9" * 30]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _csv_text(draw, header, n, cell):
+    """A well-formed CSV table of `n` animals, then often up to two cells
+    (header included) replaced by junk and sometimes one row cut short."""
+    rows = [list(header)] + [
+        [f"a{i}"] + [draw(cell) for _ in header[1:]] for i in range(n)
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        row = draw(st.integers(0, n))
+        rows[row][draw(st.integers(0, len(header) - 1))] = draw(_BAD_CELLS)
+    if draw(st.integers(0, 9)) == 0:
+        del rows[draw(st.integers(0, n))][-1]
+    return ("\n".join(",".join(r) for r in rows) + "\n").encode()
+
+
+@st.composite
+def _inputs(draw):
+    n = draw(st.integers(1, 9))
+    values = st.one_of(st.integers(0, 3).map(str),
+                       st.floats(-100, 100, allow_nan=False).map(repr))
+    data = draw(_csv_text(("animal_id", "BW", "DA", "CW", "S1", "S2", "S3"), n, values))
+    n_labelled = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    labels = draw(_csv_text(("animal_id", "cluster"), max(n_labelled, 0),
+                            st.integers(1, 3).map(str)))
+    if draw(st.integers(0, 4)) == 0:  # undecodable or truncated bytes
+        junk = draw(st.binary(max_size=30))
+        return (data, junk) if len(junk) % 2 else (junk, labels)
+    return data, labels
+
+
+class TestMalformedInputFuzz:
+    """Whatever the input files hold, every subcommand ends with exit
+    code 0, 2 or 3, never an uncaught exception."""
+
+    @given(files=_inputs(), k=st.sampled_from([None, "0", "2"]))
+    @settings(max_examples=20, deadline=None)
+    def test_exit_codes(self, files, k):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            data_path, labels_path = tmp / "data.csv", tmp / "labels.csv"
+            data_path.write_bytes(files[0])
+            labels_path.write_bytes(files[1])
+            fit = ["--target", "BW", "--out", str(tmp / "out")]
+            fit += ["--k", k] if k else []
+            for argv in (
+                ["describe"],
+                ["correlate"],
+                ["cluster", *fit],
+                ["evaluate", "--labels", str(labels_path), "--target", "BW"],
+                ["pipeline", *fit, "--charts"],
+            ):
+                argv[1:1] = ["--input", str(data_path)]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    assert main(argv) in (0, 2, 3), argv

@@ -6,7 +6,6 @@ import pytest
 from herdcluster import (
     KMeansConfig,
     NumericalError,
-    OrderedKMeans,
     ValidationError,
     assign,
     detect_knee,
@@ -317,6 +316,20 @@ class TestElbowScan:
         assert all(d == pytest.approx(0.0, abs=1e-18) for d in elbow.distortions)
         assert elbow.knee is None
 
+    def test_keeps_fits_outside_equality_and_report(self, synthetic_table):
+        z = zscore(synthetic_table, ["DA", "CW", "DL"])
+        cfg = KMeansConfig(k=1, seed=0)
+        elbow = elbow_scan(z, (1, 4), cfg)
+        assert [m.k for m in elbow.models] == [1, 2, 3, 4]
+        fresh = kmeans_fit(z, KMeansConfig(k=3, seed=0))
+        kept = elbow.models[2]
+        np.testing.assert_array_equal(kept.centroids, fresh.centroids)
+        assert (kept.config, kept.inertia, kept.feature_keys) == (
+            fresh.config, fresh.inertia, fresh.feature_keys)
+        assert "models" not in elbow.as_dict()
+        bare = ElbowResult(elbow.k_values, elbow.distortions, elbow.knee)
+        assert bare == elbow and hash(bare) == hash(elbow)
+
     def test_increasing_curve_rejected(self):
         with pytest.raises(NumericalError, match="increased"):
             ElbowResult((1, 2, 3), (1.0, 2.0, 3.0), None)
@@ -348,33 +361,3 @@ class TestStandardizedInput:
         assert len(lines) == 4
         assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3"]
 
-
-class TestOrderedKMeansEstimator:
-    def test_fit_predict_cycle(self, rng):
-        X, blob_ids = make_blobs(rng, c=3, n=45)
-        est = OrderedKMeans(k=3, seed=0)
-        labels = est.fit_predict(X)
-        assert set(labels) == {1, 2, 3}
-        np.testing.assert_array_equal(est.predict(X), labels)
-        # blob membership and cluster labels agree up to renaming
-        for blob in (1, 2, 3):
-            assert len(set(labels[blob_ids == blob])) == 1
-
-    def test_ascending_centroids(self, rng):
-        X = rng.normal(size=(30, 2))
-        est = OrderedKMeans(k=4, seed=1).fit(X)
-        firsts = est.centroids_[:, 0]
-        assert np.all(np.diff(firsts) > -1e-12)
-
-    def test_get_set_params(self):
-        est = OrderedKMeans(k=2)
-        params = est.get_params()
-        assert params["k"] == 2
-        est.set_params(k=5, seed=7)
-        assert est.k == 5 and est.seed == 7
-        with pytest.raises(ValidationError, match="unknown parameter"):
-            est.set_params(bogus=1)
-
-    def test_predict_before_fit(self):
-        with pytest.raises(ValidationError, match="not fitted"):
-            OrderedKMeans().predict(np.zeros((2, 2)))

@@ -6,6 +6,7 @@ from scipy import integrate, optimize
 
 from herdcluster import (
     DegenerateInputError,
+    NumericalError,
     ValidationError,
     f_cdf,
     ln_gamma,
@@ -115,6 +116,10 @@ class TestRegIncBeta:
             reg_inc_beta(1.5, 1, 1)
         with pytest.raises(ValidationError):
             reg_inc_beta(0.5, -1, 1)
+
+    def test_non_convergence_is_numerical(self):
+        with pytest.raises(NumericalError, match="converge"):
+            reg_inc_beta(0.5, 1e7, 1e7)
 
 
 class TestFCdf:

@@ -1,0 +1,12 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_examples_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert "('DA', 'CW', 'DL') 3" in capsys.readouterr().out
