@@ -40,7 +40,7 @@ class _Scale:
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
 
-def _document(body: list[str], title: str) -> str:
+def _write_svg(path, body: list[str], title: str) -> None:
     head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -48,7 +48,8 @@ def _document(body: list[str], title: str) -> str:
         f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="16" '
         f'font-family="sans-serif">{title}</text>',
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(head + body + ["</svg>"]) + "\n")
 
 
 def _axes(x_label: str, y_label: str) -> list[str]:
@@ -116,8 +117,7 @@ def emit_elbow_svg(elbow: ElbowResult, path) -> None:
             f'<text class="knee-label" x="{kx + 6:.2f}" y="{ky - 8:.2f}" '
             f'font-size="12" font-family="sans-serif">knee k={elbow.knee}</text>'
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_document(body, "Elbow method"))
+    _write_svg(path, body, "Elbow method")
 
 
 def emit_scatter_svg(model: KMeansModel, z, path) -> None:
@@ -158,8 +158,7 @@ def emit_scatter_svg(model: KMeansModel, z, path) -> None:
             f'x2="{px + arm:.2f}" y2="{py - arm:.2f}"/></g>'
         )
     body += _legend(list(range(1, model.k + 1)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_document(body, "k-means clusters"))
+    _write_svg(path, body, "k-means clusters")
 
 
 def emit_boxplot_svg(values, labels, value_name: str, path) -> None:
@@ -216,5 +215,4 @@ def emit_boxplot_svg(values, labels, value_name: str, path) -> None:
             f'<text x="{cx:.2f}" y="{_H - _MARGIN + 16}" text-anchor="middle" '
             f'font-size="11" font-family="sans-serif">{c}</text>'
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_document(body, f"{value_name} by cluster"))
+    _write_svg(path, body, f"{value_name} by cluster")

@@ -11,8 +11,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from pathlib import Path
 
@@ -22,10 +20,9 @@ from . import __version__, data
 from .clustering import KMeansConfig
 from .dataset import describe_all, load_table, read_csv
 from .errors import NumericalError, ValidationError
-from .inference import one_way_anova, tukey_hsd
 from .pipeline import (
-    PRESETS, PipelineConfig, correlate, fit_model, run_pipeline, scan_k,
-    write_labels_csv,
+    PRESETS, PipelineConfig, correlate, correlation_csv, csv_text, evaluate,
+    fit_model, json_text, run_pipeline, scan_k, write_model, write_text,
 )
 from .stats import select_features, zscore
 
@@ -57,36 +54,26 @@ def _parse_k_range(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _alpha(raw: str) -> float:
+    alpha = float(raw)
+    if not 0.0 < alpha < 1.0:
+        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {raw}")
+    return alpha
 
 
 def cmd_describe(args) -> int:
     table = load_table(_resolve_input(args.input))
     rows = [d.as_dict() for d in describe_all(table)]
-    if args.format == "json":
-        _write_or_print(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        import io
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-        _write_or_print(buf.getvalue(), args.out)
+    text = (json_text(rows) if args.format == "json"
+            else csv_text(rows[0], (row.values() for row in rows)))
+    write_text(args.out, text)
     return 0
 
 
 def cmd_correlate(args) -> int:
     corr = correlate(load_table(_resolve_input(args.input)))
-    if args.format == "json":
-        text = json.dumps(corr.as_dict(), indent=2, sort_keys=True) + "\n"
-    else:
-        text = corr.csv_text()
-    _write_or_print(text, args.out)
+    text = json_text(corr.as_dict()) if args.format == "json" else correlation_csv(corr)
+    write_text(args.out, text)
     return 0
 
 
@@ -100,12 +87,7 @@ def cmd_cluster(args) -> int:
     kcfg = KMeansConfig(k=1, seed=args.seed)  # k is set per fit
     elbow = None if args.k is not None else scan_k(z, _parse_k_range(args.k_range), kcfg)
     model = fit_model(z, args.k, elbow, kcfg)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model.centroids_to_csv(out / "centroids.csv")
-    model.to_json(out / "model.json")
-    write_labels_csv(out / "labels.csv", table, model.labels)
+    write_model(args.out, table, model)
     print(f"k={model.k} inertia={model.inertia:.6f} features={','.join(selection.selected)}")
     return 0
 
@@ -144,22 +126,17 @@ def cmd_evaluate(args) -> int:
     table = load_table(_resolve_input(args.input))
     labels = _read_labels(args.labels, table.animal_ids)
 
-    values = table.column(args.target)
-    anova = one_way_anova(values, labels)
-    doc = {"anova": anova.as_dict()}
+    results = evaluate(table.column(args.target), labels, args.alpha)
+    anova = results["anova"]
     print(
         f"ANOVA {args.target}: F({anova.df_between},{anova.df_within})"
         f"={anova.f_stat:.4f} p={anova.p_value:.6f}"
         + (" [degenerate]" if anova.degenerate else "")
     )
-    if not anova.degenerate:
-        tukey = tukey_hsd(values, labels, args.alpha)
-        doc["tukey"] = tukey.as_dict()
-        print(tukey.to_text())
+    if "tukey" in results:
+        print(results["tukey"].to_text())
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_text(args.out, json_text({name: r.as_dict() for name, r in results.items()}))
     return 0
 
 
@@ -235,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--labels", required=True, help="labels.csv from cluster/pipeline")
     p.add_argument("--target", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", help="also write JSON results here")
     p.set_defaults(func=cmd_evaluate)
 
@@ -248,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="override the elbow-detected k")
     p.add_argument("--k-range", default="1:10")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", default="out")
     p.add_argument("--charts", action="store_true", help="emit SVG charts")
     p.set_defaults(func=cmd_pipeline)

@@ -4,9 +4,7 @@ having the lowest first-centroid coordinate)."""
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
@@ -50,9 +48,6 @@ class KMeansConfig:
         if self.init not in ("kmeanspp", "random-points"):
             raise ValidationError(f"unknown init method: {self.init}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class KMeansModel:
@@ -83,38 +78,8 @@ class KMeansModel:
             "seed": self.config.seed,
             "inertia": self.inertia,
             "ordered": self.ordered,
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, path) -> "KMeansModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(
-            centroids=np.array(doc["centroids"], dtype=float),
-            labels=np.array(doc["labels"], dtype=int),
-            inertia=float(doc["inertia"]),
-            config=KMeansConfig(**doc["config"]),
-            ordered=bool(doc["ordered"]),
-            feature_keys=tuple(doc["keys"]),
-            feature_means=tuple(doc["means"]),
-            feature_stds=tuple(doc["stds"]),
-        )
-
-    def centroids_to_csv(self, path) -> None:
-        """Table of centroid coordinates, one row per cluster 1..k."""
-        header = list(self.feature_keys) or [
-            f"f{j + 1}" for j in range(self.centroids.shape[1])
-        ]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cluster", *header])
-            for i, row in enumerate(self.centroids, start=1):
-                writer.writerow([i, *(repr(float(v)) for v in row)])
 
 
 def _as_points(z) -> np.ndarray:

@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 GRADER_KEYS = ("S1", "S2", "S3")
 DERIVED_SCORE_KEY = "SS"
@@ -45,8 +46,8 @@ class HerdTable:
         ids = self.animal_ids
         if len(ids) == 0:
             raise ValidationError("table has no animals")
-        if len(set(ids)) != len(ids):
-            dupes = sorted({a for a in ids if ids.count(a) > 1})
+        dupes = sorted(a for a, count in Counter(ids).items() if count > 1)
+        if dupes:
             raise ValidationError(f"duplicate animal_id: {', '.join(dupes)}")
         if not self.columns:
             raise ValidationError("table has no measurement columns")
@@ -196,10 +197,9 @@ def _derive_ss(columns: dict, provenance: dict) -> None:
         provenance[DERIVED_SCORE_KEY] = "derived"
 
 
-def load_table(path, schema: Iterable[str] | None = None) -> HerdTable:
+def load_table(path) -> HerdTable:
     """Read a wide-format CSV (header row, first column = animal id) into a
-    validated HerdTable. When `schema` is given, those keys must all be
-    present; extra columns are kept as user-defined keys either way."""
+    validated HerdTable; every column is kept as a measurement key."""
     records = read_csv(path)
     _, header = next(records)
     if len(header) < 2:
@@ -234,13 +234,6 @@ def load_table(path, schema: Iterable[str] | None = None) -> HerdTable:
     columns = {key: arr[:, i] for i, key in enumerate(keys)}
     provenance = {key: "supplied" for key in keys}
     _derive_ss(columns, provenance)
-
-    if schema is not None:
-        wanted = {canonical_key(k) for k in schema}
-        missing = sorted(wanted - set(columns))
-        if missing:
-            raise ValidationError(f"{path}: missing columns: {', '.join(missing)}")
-
     return HerdTable(tuple(animal_ids), columns, provenance)
 
 
@@ -292,11 +285,14 @@ def describe(table: HerdTable, key) -> DescriptiveStats:
     """Summary statistics for one column: sample std (n-1 denominator),
     quantiles by linear interpolation between closest ranks."""
     x = table.column(key)
+    mean = float(np.mean(x))
     std = 0.0 if x.size == 1 else float(np.std(x, ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise NumericalError(f"mean or std of column {key} overflowed")
     q25, q50, q75 = np.quantile(x, [0.25, 0.5, 0.75])  # linear interpolation
     return DescriptiveStats(
         key=canonical_key(key),
-        mean=float(np.mean(x)),
+        mean=mean,
         std=std,
         min=float(np.min(x)),
         q25=float(q25),

@@ -8,7 +8,6 @@ tests carry no numerical dependencies beyond numpy array handling.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -222,11 +221,9 @@ class TukeyPair:
     reject_at_alpha: bool
 
     def as_dict(self) -> dict:
-        return {
-            "group_a": self.group_a, "group_b": self.group_b,
-            "mean_diff": self.mean_diff, "q_stat": self.q_stat,
-            "p_adj": self.p_adj, "reject": self.reject_at_alpha,
-        }
+        doc = dict(vars(self))
+        doc["reject"] = doc.pop("reject_at_alpha")
+        return doc
 
 
 @dataclass(frozen=True)
@@ -237,16 +234,7 @@ class TukeyResult:
     ms_within: float
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "df_within": self.df_within,
-            "ms_within": self.ms_within,
-            "pairs": [p.as_dict() for p in self.pairs],
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
+        return {**vars(self), "pairs": [p.as_dict() for p in self.pairs]}
 
     def to_text(self) -> str:
         lines = [
@@ -254,7 +242,7 @@ class TukeyResult:
         ]
         for p in self.pairs:
             lines.append(
-                f"{p.group_a}-{p.group_b:>6} {p.mean_diff:>12.4f} "
+                f"{f'{p.group_a}-{p.group_b}':>8} {p.mean_diff:>12.4f} "
                 f"{p.q_stat:>10.4f} {p.p_adj:>10.5f} "
                 f"{'yes' if p.reject_at_alpha else 'no'}"
             )
@@ -334,8 +322,7 @@ def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
             diff = float(gb.mean() - ga.mean())
             se = math.sqrt(ms_within / 2.0 * (1.0 / ga.size + 1.0 / gb.size))
             q = abs(diff) / se
-            p_adj = 1.0 - studentized_range_cdf(q, k, df_w)
-            p_adj = min(1.0, max(0.0, p_adj))
+            p_adj = 1.0 - studentized_range_cdf(q, k, df_w)  # cdf is clipped to [0, 1]
             pairs.append(
                 TukeyPair(
                     group_a=group_ids[i], group_b=group_ids[j],

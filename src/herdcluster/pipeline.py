@@ -1,15 +1,20 @@
 """Batch pipeline: describe -> correlate -> select -> standardize ->
 elbow -> cluster -> order -> evaluate, with all artifacts written to an
 output directory. Its stages (`correlate`, `scan_k`, `fit_model`,
-`write_labels_csv`) also make up the `correlate` and `cluster` commands."""
+`write_model`, `evaluate`) also make up the CLI commands, and every JSON
+and CSV output is formatted here, by `json_text` and `csv_text`."""
 
 from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
+import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .clustering import (
@@ -84,19 +89,38 @@ class RunReport:
     echoed config and seed (only the timestamp varies between runs)."""
 
     document: dict
-    artifacts: tuple[str, ...]
 
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+
+def json_text(doc) -> str:
+    """The JSON format of every output: sorted keys, 2-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    """The CSV format of every output; floats, numpy's included, as `repr(float)`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([float(v) if isinstance(v, np.floating) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+def correlation_csv(corr: CorrelationMatrix) -> str:
+    return csv_text(["key", *corr.keys], ([k, *row] for k, row in zip(corr.keys, corr.r)))
 
 
 def correlate(table: HerdTable) -> CorrelationMatrix:
-    """Pearson matrix over the table's non-constant columns."""
-    return correlation_matrix(
-        table, [k for k in table.keys if table.column(k).std() > 0.0]
-    )
+    """Pearson matrix over the table's non-constant columns (a column whose
+    std overflowed to NaN is kept, so that `pearson_r` reports it)."""
+    return correlation_matrix(table, [k for k in table.keys if table.column(k).std() != 0.0])
 
 
 def scan_k(z: StandardizedMatrix, k_range: tuple[int, int],
@@ -124,13 +148,29 @@ def fit_model(z: StandardizedMatrix, k: int | None, elbow: ElbowResult | None,
     return order_clusters(scanned[want] if want in scanned else kmeans_fit(z, want))
 
 
-def write_labels_csv(path, table: HerdTable, labels) -> None:
-    """`animal_id,cluster` rows in the table's animal order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["animal_id", "cluster"])
-        for animal, label in zip(table.animal_ids, labels):
-            writer.writerow([animal, int(label)])
+def write_model(out, table: HerdTable, model: KMeansModel) -> list[str]:
+    """Write centroids.csv (one row per cluster 1..k), labels.csv (the
+    table's animal order) and model.json under `out`; return their names."""
+    keys = model.feature_keys or [f"f{j + 1}" for j in range(model.centroids.shape[1])]
+    files = {
+        "centroids.csv": csv_text(["cluster", *keys],
+                                  ([i, *row] for i, row in enumerate(model.centroids, 1))),
+        "labels.csv": csv_text(["animal_id", "cluster"], zip(table.animal_ids, model.labels)),
+        "model.json": json_text(model.as_dict()),
+    }
+    Path(out).mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        write_text(Path(out) / name, text)
+    return list(files)
+
+
+def evaluate(values, labels, alpha: float) -> dict:
+    """{"anova": AnovaResult} of `values` across cluster `labels`, plus
+    "tukey": TukeyResult at `alpha` unless the ANOVA is degenerate."""
+    results = {"anova": one_way_anova(values, labels)}
+    if not results["anova"].degenerate:
+        results["tukey"] = tukey_hsd(values, labels, alpha)
+    return results
 
 
 def run_pipeline(cfg: PipelineConfig) -> RunReport:
@@ -140,9 +180,6 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     target = canonical_key(cfg.target)
     if target not in table.columns:
         raise ValidationError(f"target column {target} not in input")
-
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     stats_block = [d.as_dict() for d in describe_all(table)]
     corr = correlate(table)
@@ -154,39 +191,25 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     model = fit_model(z, cfg.k, elbow, kcfg)
 
     label_corr = {}
-    if model.k > 1:
-        for key in corr.keys:
-            try:
-                label_corr[key] = label_correlation(model.labels, table, key)
-            except DegenerateInputError:
-                continue
+    for key in corr.keys:  # none when k = 1: constant labels are degenerate
+        try:
+            label_corr[key] = label_correlation(model.labels, table, key)
+        except DegenerateInputError:
+            continue
 
     evaluation = {}
     if model.k >= 2:
-        anova = one_way_anova(table.column(target), model.labels)
-        evaluation[target] = {"anova": anova.as_dict()}
-        if not anova.degenerate:
-            evaluation[target]["tukey"] = tukey_hsd(
-                table.column(target), model.labels, cfg.alpha
-            ).as_dict()
+        results = evaluate(table.column(target), model.labels, cfg.alpha)
+        evaluation[target] = {name: r.as_dict() for name, r in results.items()}
 
-    artifacts = []
-
-    def _artifact(name: str) -> Path:
-        artifacts.append(name)
-        return out / name
-
-    model.centroids_to_csv(_artifact("centroids.csv"))
-    write_labels_csv(_artifact("labels.csv"), table, model.labels)
-    model.to_json(_artifact("model.json"))
-    corr.to_csv(_artifact("correlation.csv"))
-
+    out = Path(cfg.output_dir)
+    artifacts = write_model(out, table, model) + ["correlation.csv"]
+    write_text(out / "correlation.csv", correlation_csv(corr))
     if cfg.emit_charts:
-        emit_elbow_svg(elbow, _artifact("elbow.svg"))
-        emit_scatter_svg(model, z, _artifact("scatter.svg"))
-        emit_boxplot_svg(
-            table.column(target), model.labels, target, _artifact("boxplot.svg")
-        )
+        artifacts += ["elbow.svg", "scatter.svg", "boxplot.svg"]
+        emit_elbow_svg(elbow, out / "elbow.svg")
+        emit_scatter_svg(model, z, out / "scatter.svg")
+        emit_boxplot_svg(table.column(target), model.labels, target, out / "boxplot.svg")
 
     document = {
         "tool_version": __version__,
@@ -202,6 +225,5 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         "artifacts": sorted(artifacts) + ["report.json"],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    report = RunReport(document=document, artifacts=tuple(sorted(artifacts)))
-    report.to_json(out / "report.json")
-    return report
+    write_text(out / "report.json", json_text(document))
+    return RunReport(document)

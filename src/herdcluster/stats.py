@@ -3,16 +3,14 @@ feature selection."""
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dataset import HerdTable, canonical_key
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, NumericalError, ValidationError
 
 
 def pearson_r(x, y) -> float:
@@ -31,8 +29,11 @@ def pearson_r(x, y) -> float:
     sy = float(np.dot(yc, yc))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInputError("constant input has no defined correlation")
-    r = float(np.dot(xc, yc)) / np.sqrt(sx * sy)
-    return float(min(1.0, max(-1.0, r)))
+    scale = math.sqrt(sx * sy)
+    r = float(np.dot(xc, yc)) / scale
+    if not (math.isfinite(scale) and math.isfinite(r)):
+        raise NumericalError("correlation overflowed: values too large")
+    return min(1.0, max(-1.0, r))
 
 
 @dataclass(frozen=True)
@@ -42,30 +43,8 @@ class CorrelationMatrix:
     keys: tuple[str, ...]
     r: np.ndarray
 
-    def value(self, key_a, key_b) -> float:
-        i = self.keys.index(canonical_key(key_a))
-        j = self.keys.index(canonical_key(key_b))
-        return float(self.r[i, j])
-
-    def csv_text(self) -> str:
-        """The matrix as CSV text, every cell at full float precision."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["key", *self.keys])
-        for i, key in enumerate(self.keys):
-            writer.writerow([key, *(repr(float(v)) for v in self.r[i])])
-        return buf.getvalue()
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(self.csv_text())
-
     def as_dict(self) -> dict:
         return {"keys": list(self.keys), "r": [list(map(float, row)) for row in self.r]}
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
 
 
 def correlation_matrix(table: HerdTable, keys: Sequence[str] | None = None) -> CorrelationMatrix:
@@ -132,17 +111,13 @@ def select_features(
 
 @dataclass(frozen=True)
 class StandardizedMatrix:
-    """Z-scored feature matrix with the per-key means/stds needed to
-    invert the transform."""
+    """Z-scored feature matrix with the per-key means and stds."""
 
     keys: tuple[str, ...]
     animal_ids: tuple[str, ...]
     z: np.ndarray
     means: np.ndarray
     stds: np.ndarray
-
-    def inverse(self) -> np.ndarray:
-        return self.z * self.stds + self.means
 
 
 def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
@@ -151,6 +126,9 @@ def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
     X = table.matrix(keys)
     means = X.mean(axis=0)
     stds = X.std(axis=0, ddof=1)
+    bad = [k for k, m, s in zip(keys, means, stds) if not np.isfinite([m, s]).all()]
+    if bad:
+        raise NumericalError(f"mean or std is not finite in column(s): {', '.join(bad)}")
     bad = [keys[i] for i in np.where(stds == 0.0)[0]]
     if bad:
         raise DegenerateInputError(f"zero-variance column(s): {', '.join(bad)}")
@@ -165,8 +143,5 @@ def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
 
 def label_correlation(labels, table: HerdTable, key) -> float:
     """Pearson r between integer cluster labels (treated as numeric) and a
-    measurement column."""
-    labels = np.asarray(labels)
-    if labels.size and np.unique(labels).size < 2:
-        raise DegenerateInputError("labels are constant")
-    return pearson_r(labels.astype(float), table.column(key))
+    measurement column; constant labels raise DegenerateInputError."""
+    return pearson_r(np.asarray(labels, dtype=float), table.column(key))

@@ -5,6 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,6 +238,90 @@ class TestPipelineCommand:
         assert main(["pipeline", "--input", "builtin:synthetic",
                      "--target", "BW", "--k-range", "oops"]) == 2
 
+
+
+
+class TestOverflowingColumn:
+    """Finite cells whose moments overflow end in exit 3, not in inf or
+    a clipped NaN with exit 0."""
+
+    @staticmethod
+    def _table(tmp_path):
+        rows = [["a", 1e308, 300.0], ["b", 1e308, 310.0], ["c", -1e308, 305.0],
+                ["d", 1, 320.0]]
+        return write_csv(tmp_path / "huge.csv", ["animal_id", "X", "BW"], rows)
+
+    def test_describe(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert main(["describe", "--input", str(self._table(tmp_path))]) == 3
+        assert "column X overflowed" in capsys.readouterr().err
+
+    def test_correlate(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert main(["correlate", "--input", str(self._table(tmp_path))]) == 3
+        assert "overflowed" in capsys.readouterr().err
+
+    def test_pipeline(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            assert main(["pipeline", "--input", str(self._table(tmp_path)),
+                         "--target", "BW", "--features", "1",
+                         "--out", str(tmp_path / "out")]) == 3
+        assert "overflowed" in capsys.readouterr().err
+
+
+class TestAlphaChecked:
+    """--alpha outside (0, 1) exits 2 before any work, also where no
+    Tukey test would run."""
+
+    def _exit_code(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
+    def test_evaluate_with_degenerate_anova(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "t.csv", ["animal_id", "BW"],
+                         [["a", 1], ["b", 1], ["c", 5], ["d", 5]])
+        labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster"],
+                           [["a", 1], ["b", 1], ["c", 2], ["d", 2]])
+        argv = ["evaluate", "--input", str(path), "--labels", str(labels),
+                "--target", "BW", "--out", str(tmp_path / "e.json")]
+        assert main(argv) == 0
+        assert "[degenerate]" in capsys.readouterr().out
+        for bad in ("7", "0", "1", "-0.1", "nan"):
+            assert self._exit_code(argv + ["--alpha", bad]) == 2
+            assert "alpha must be in (0, 1)" in capsys.readouterr().err
+
+    def test_pipeline_with_one_cluster(self, tmp_path, capsys):
+        argv = ["pipeline", "--input", "builtin:synthetic", "--preset", "dorsum",
+                "--k", "1", "--out", str(tmp_path / "out")]
+        assert self._exit_code(argv + ["--alpha", "7"]) == 2
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(argv + ["--alpha", "0.5"]) == 0
+
+
+class TestJsonOutputs:
+    def test_every_json_output_has_one_format(self, tmp_path):
+        """report.json, model.json and the --out files of evaluate,
+        describe and correlate parse, have sorted keys and a 2-space
+        indent, and end with exactly one newline."""
+        run = tmp_path / "run"
+        synthetic = ["--input", "builtin:synthetic"]
+        for argv in (
+            ["pipeline", "--preset", "dorsum", "--k", "3", "--out", str(run)],
+            ["evaluate", "--labels", str(run / "labels.csv"), "--target", "BW",
+             "--out", str(tmp_path / "evaluate.json")],
+            ["describe", "--format", "json", "--out", str(tmp_path / "describe.json")],
+            ["correlate", "--format", "json", "--out", str(tmp_path / "correlate.json")],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv[:1] + synthetic + argv[1:]) == 0
+        paths = [run / "report.json", run / "model.json",
+                 *(tmp_path / f"{cmd}.json" for cmd in ("evaluate", "describe", "correlate"))]
+        for path in paths:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+            assert text.endswith("}\n") or text.endswith("]\n"), path
 
 
 _BAD_CELLS = st.one_of(

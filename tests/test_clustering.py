@@ -15,6 +15,7 @@ from herdcluster import (
     zscore,
 )
 from herdcluster.clustering import ElbowResult, KMeansModel, restart_seed
+from herdcluster.pipeline import write_model
 
 
 def brute_force_best_inertia(X, k):
@@ -342,22 +343,14 @@ class TestStandardizedInput:
         assert model.feature_keys == ("DA", "CW", "DL")
         assert len(model.feature_means) == 3
 
-    def test_model_json_roundtrip(self, tmp_path, synthetic_table):
-        z = zscore(synthetic_table, ["DA", "CW", "DL"])
-        model = order_clusters(kmeans_fit(z, KMeansConfig(k=3, seed=0)))
-        model.to_json(tmp_path / "m.json")
-        loaded = KMeansModel.from_json(tmp_path / "m.json")
-        np.testing.assert_array_equal(loaded.centroids, model.centroids)
-        np.testing.assert_array_equal(loaded.labels, model.labels)
-        assert loaded.feature_keys == model.feature_keys
-        assert loaded.inertia == model.inertia
-
     def test_centroid_csv_layout(self, tmp_path, synthetic_table):
         z = zscore(synthetic_table, ["DA", "CW", "DL"])
         model = order_clusters(kmeans_fit(z, KMeansConfig(k=3, seed=0)))
-        model.centroids_to_csv(tmp_path / "c.csv")
-        lines = (tmp_path / "c.csv").read_text().splitlines()
+        write_model(tmp_path, synthetic_table, model)
+        lines = (tmp_path / "centroids.csv").read_text().splitlines()
         assert lines[0] == "cluster,DA,CW,DL"
         assert len(lines) == 4
         assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3"]
+        cells = [[float(v) for v in row.split(",")[1:]] for row in lines[1:]]
+        assert np.array_equal(cells, model.centroids)
 

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from herdcluster import (
     studentized_range_ppf,
     tukey_hsd,
 )
+from herdcluster.pipeline import json_text
 
 
 def f_cdf_oracle(x, d1, d2):
@@ -292,16 +295,27 @@ class TestTukeyHsd:
         with pytest.raises(DegenerateInputError):
             tukey_hsd([1, 1, 2, 2], [1, 1, 2, 2])
 
-    def test_text_and_json_output(self, tmp_path):
+    def test_text_and_json_output(self):
         r = tukey_hsd([1, 2, 5, 6, 9, 10], [1, 1, 2, 2, 3, 3])
         text = r.to_text()
         assert len(text.splitlines()) == 4  # header + 3 pairs
-        r.to_json(tmp_path / "t.json")
-        import json
-
-        doc = json.loads((tmp_path / "t.json").read_text())
+        doc = json.loads(json_text(r.as_dict()))
         assert len(doc["pairs"]) == 3
         assert doc["alpha"] == 0.05
+        assert doc["pairs"][0]["reject"] == r.pairs[0].reject_at_alpha
+
+    def test_text_columns_align_with_header(self):
+        labels = [1, 1, 2, 2, 12, 12, 345, 345]
+        r = tukey_hsd([1, 2, 5, 6, 9, 10, 3, 8], labels)
+        header, *rows = r.to_text().splitlines()
+
+        def edges(line):
+            fields = list(re.finditer(r"\S+", line))
+            return [f.end() for f in fields[:4]] + [fields[4].start()]
+
+        assert [row.split()[0] for row in rows][-1] == "12-345"
+        for row in rows:
+            assert edges(row) == edges(header), row
 
     def test_invalid_alpha(self):
         with pytest.raises(ValidationError, match="alpha"):

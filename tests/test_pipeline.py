@@ -5,7 +5,9 @@ from herdcluster import (
     KMeansConfig, ValidationError, kmeans_fit, load_table, order_clusters, zscore,
 )
 from herdcluster import pipeline
-from herdcluster.pipeline import correlate, fit_model, scan_k
+from herdcluster.pipeline import (
+    correlate, csv_text, evaluate, fit_model, json_text, scan_k, write_model,
+)
 
 from conftest import write_csv
 
@@ -61,3 +63,32 @@ def test_fit_model_checks_k(z):
             fit_model(z, bad, None, KCFG)
     with pytest.raises(ValidationError, match="no knee"):
         fit_model(z, None, None, KCFG)
+
+
+def test_json_text_format():
+    assert json_text({"b": [1, 2.5], "a": None}) == (
+        '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    )
+
+
+def test_csv_text_writes_floats_at_full_precision():
+    text = csv_text(["id", "x", "n"], [["a", np.float64(0.1) + 0.2, np.int64(3)]])
+    assert text == "id,x,n\r\na,0.30000000000000004,3\r\n"
+
+
+def test_write_model_files(tmp_path, synthetic_table, z):
+    model = fit_model(z, 3, None, KCFG)
+    out = tmp_path / "new" / "dir"
+    assert write_model(out, synthetic_table, model) == [
+        "centroids.csv", "labels.csv", "model.json"]
+    labels = (out / "labels.csv").read_text().splitlines()
+    assert labels[0] == "animal_id,cluster"
+    assert labels[1:] == [f"{a},{c}" for a, c in zip(synthetic_table.animal_ids, model.labels)]
+    assert (out / "model.json").read_text() == json_text(model.as_dict())
+
+
+def test_evaluate_skips_tukey_only_when_anova_is_degenerate():
+    full = evaluate([1, 2, 5, 6, 9, 10], [1, 1, 2, 2, 3, 3], 0.05)
+    assert list(full) == ["anova", "tukey"] and full["tukey"].alpha == 0.05
+    flat = evaluate([1, 1, 5, 5], [1, 1, 2, 2], 0.05)
+    assert list(flat) == ["anova"] and flat["anova"].degenerate

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from herdcluster import (
     DegenerateInputError,
+    NumericalError,
     ValidationError,
     correlation_matrix,
     label_correlation,
@@ -13,6 +16,7 @@ from herdcluster import (
     select_features,
     zscore,
 )
+from herdcluster.pipeline import correlation_csv, json_text
 
 from conftest import write_csv
 
@@ -27,6 +31,13 @@ def table_from_columns(tmp_path, columns):
 
 
 class TestPearsonR:
+    def test_overflow_is_not_clipped_to_a_bound(self):
+        # the NaN r of this column used to come out as -1.0
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="overflow"):
+            pearson_r([1e308, 1e308, -1e308, 1.0], [1.0, 2.0, 3.0, 4.0])
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="overflow"):
+            pearson_r([1e200, -1e200, 1e200, 0.0], [1e200, 1e200, -1e200, 0.0])
+
     def test_self_correlation(self):
         x = [1.0, 2.0, 5.0, 3.0]
         assert pearson_r(x, x) == 1.0
@@ -85,7 +96,7 @@ class TestCorrelationMatrix:
     def test_identical_columns(self, tmp_path):
         t = table_from_columns(tmp_path, {"A": [1, 2, 3], "B": [1, 2, 3]})
         m = correlation_matrix(t)
-        assert m.value("A", "B") == 1.0
+        assert m.r[0, 1] == m.r[1, 0] == 1.0
 
     def test_orthogonal_by_construction(self, tmp_path, rng):
         # Gram-Schmidt residualization gives exactly uncorrelated columns
@@ -111,17 +122,13 @@ class TestCorrelationMatrix:
         with pytest.raises(DegenerateInputError, match=r"\(A, B\)"):
             correlation_matrix(t)
 
-    def test_csv_and_json_export(self, tmp_path, synthetic_table):
+    def test_csv_and_json_export(self, synthetic_table):
         m = correlation_matrix(synthetic_table, ["BW", "DA", "CW"])
-        m.to_csv(tmp_path / "m.csv")
-        lines = (tmp_path / "m.csv").read_text().splitlines()
+        lines = correlation_csv(m).splitlines()
         assert lines[0] == "key,BW,DA,CW"
         cells = [[float(v) for v in line.split(",")[1:]] for line in lines[1:]]
         assert np.array_equal(cells, m.r)
-        m.to_json(tmp_path / "m.json")
-        import json
-
-        doc = json.loads((tmp_path / "m.json").read_text())
+        doc = json.loads(json_text(m.as_dict()))
         assert doc["keys"] == ["BW", "DA", "CW"]
         assert doc["r"][0][0] == 1.0
 
@@ -181,6 +188,13 @@ class TestSelectFeatures:
 
 
 class TestZScore:
+    def test_overflowing_moments_raise(self, tmp_path):
+        t = table_from_columns(tmp_path, {"A": [1, 2, 3, 4],
+                                          "X": [1e308, 1e308, -1e308, 1]})
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalError, match=r"not finite in column\(s\): X$"):
+            zscore(t, ["A", "X"])
+
     def test_simple_column(self, tmp_path):
         t = table_from_columns(tmp_path, {"A": [1, 2, 3]})
         z = zscore(t, ["A"])
@@ -197,11 +211,6 @@ class TestZScore:
         z = zscore(synthetic_table, ["BW", "DA", "CW"])
         assert np.all(np.abs(z.z.mean(axis=0)) < 1e-12)
         assert np.all(np.abs(z.z.std(axis=0, ddof=1) - 1.0) < 1e-12)
-
-    def test_inverse_roundtrip(self, synthetic_table):
-        z = zscore(synthetic_table, ["BW", "DA", "CW"])
-        original = synthetic_table.matrix(["BW", "DA", "CW"])
-        np.testing.assert_allclose(z.inverse(), original, atol=1e-10)
 
     def test_zero_variance_column(self, tmp_path):
         t = table_from_columns(tmp_path, {"A": [1, 2, 3], "B": [7, 7, 7]})
