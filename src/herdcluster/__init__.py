@@ -13,10 +13,8 @@ from .errors import (
 from .dataset import (
     DescriptiveStats,
     HerdTable,
-    ReplicateTable,
     ScoreSummary,
     aggregate_scores,
-    collapse_replicates,
     describe,
     describe_all,
     load_table,
@@ -26,7 +24,6 @@ from .stats import (
     FeatureSelection,
     StandardizedMatrix,
     correlation_matrix,
-    label_correlation,
     pearson_r,
     select_features,
     zscore,
@@ -68,7 +65,6 @@ __all__ = [
     "NumericalError",
     "PRESETS",
     "PipelineConfig",
-    "ReplicateTable",
     "RunReport",
     "ScoreSummary",
     "StandardizedMatrix",
@@ -76,7 +72,6 @@ __all__ = [
     "ValidationError",
     "aggregate_scores",
     "assign",
-    "collapse_replicates",
     "correlation_matrix",
     "describe",
     "describe_all",
@@ -84,7 +79,6 @@ __all__ = [
     "elbow_scan",
     "f_cdf",
     "kmeans_fit",
-    "label_correlation",
     "ln_gamma",
     "load_table",
     "one_way_anova",

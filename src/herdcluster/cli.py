@@ -100,10 +100,6 @@ def _read_labels(path, animal_ids) -> np.ndarray:
         raise ValidationError("labels CSV needs animal_id,cluster columns")
     by_animal = {}
     for lineno, rec in records:
-        if len(rec) != len(header):
-            raise ValidationError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
-            )
         row = dict(zip(header, rec))
         try:
             label = np.int64(row["cluster"])
@@ -238,7 +234,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

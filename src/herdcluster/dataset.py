@@ -40,7 +40,7 @@ class HerdTable:
 
     animal_ids: tuple[str, ...]
     columns: Mapping[str, np.ndarray]
-    provenance: Mapping[str, str]  # supplied | averaged-from-replicates | derived
+    provenance: Mapping[str, str]  # supplied | derived
 
     def __post_init__(self):
         ids = self.animal_ids
@@ -89,41 +89,6 @@ class HerdTable:
 
 
 @dataclass(frozen=True)
-class ReplicateRow:
-    animal_id: str
-    key: str
-    value: float
-    source: str = ""
-
-
-@dataclass(frozen=True)
-class ReplicateTable:
-    """Long-format replicate measurements, multiple rows per (animal, key)."""
-
-    rows: tuple[ReplicateRow, ...]
-
-    @classmethod
-    def from_csv(cls, path) -> "ReplicateTable":
-        records = read_csv(path)
-        _, header = next(records)
-        expected = ["animal_id", "key", "value", "source"]
-        if [h.strip().lower() for h in header] != expected:
-            raise ValidationError(
-                f"{path}: replicate CSV header must be {','.join(expected)}"
-            )
-        rows = []
-        for lineno, rec in records:
-            if len(rec) != 4:
-                raise ValidationError(f"{path}:{lineno}: expected 4 fields")
-            animal, key, raw, source = (c.strip() for c in rec)
-            rows.append(
-                ReplicateRow(animal, canonical_key(key),
-                             _parse_cell(raw, path, lineno, key), source)
-            )
-        return cls(tuple(rows))
-
-
-@dataclass(frozen=True)
 class DescriptiveStats:
     """One row of a descriptive-statistics table."""
 
@@ -153,7 +118,8 @@ class ScoreSummary:
 def read_csv(path) -> Iterator[tuple[int, list[str]]]:
     """Stream (line number, record) for the header (line 1) and each
     non-blank record of a UTF-8 CSV file. A missing, empty, undecodable or
-    malformed file raises ValidationError."""
+    malformed file, or a record whose width differs from the header's,
+    raises ValidationError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -163,6 +129,10 @@ def read_csv(path) -> Iterator[tuple[int, list[str]]]:
             yield 1, header
             for lineno, rec in enumerate(reader, start=2):
                 if rec and any(c.strip() for c in rec):
+                    if len(rec) != len(header):
+                        raise ValidationError(
+                            f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
+                        )
                     yield lineno, rec
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
@@ -185,18 +155,6 @@ def _parse_cell(raw: str, path, lineno: int, colname: str) -> float:
     return value
 
 
-def _derive_ss(columns: dict, provenance: dict) -> None:
-    """Add SS = mean(S1..S3) when all grader columns are present."""
-    if all(k in columns for k in GRADER_KEYS):
-        if DERIVED_SCORE_KEY in columns:
-            raise ValidationError(
-                "SS may not be supplied directly when S1..S3 are present"
-            )
-        stacked = np.vstack([columns[k] for k in GRADER_KEYS])
-        columns[DERIVED_SCORE_KEY] = stacked.mean(axis=0)
-        provenance[DERIVED_SCORE_KEY] = "derived"
-
-
 def load_table(path) -> HerdTable:
     """Read a wide-format CSV (header row, first column = animal id) into a
     validated HerdTable; every column is kept as a measurement key."""
@@ -214,10 +172,6 @@ def load_table(path) -> HerdTable:
     animal_ids: list[str] = []
     data: list[list[float]] = []
     for lineno, rec in records:
-        if len(rec) != len(header):
-            raise ValidationError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(rec)}"
-            )
         animal = rec[0].strip()
         if not animal:
             raise ValidationError(f"{path}:{lineno}: empty animal id")
@@ -233,37 +187,14 @@ def load_table(path) -> HerdTable:
     arr = np.array(data, dtype=float)
     columns = {key: arr[:, i] for i, key in enumerate(keys)}
     provenance = {key: "supplied" for key in keys}
-    _derive_ss(columns, provenance)
-    return HerdTable(tuple(animal_ids), columns, provenance)
-
-
-def collapse_replicates(reps: ReplicateTable) -> HerdTable:
-    """Collapse a long-format replicate table by arithmetic mean per
-    (animal, key) group. Every animal must carry the same key set."""
-    if not reps.rows:
-        raise ValidationError("replicate table is empty")
-
-    groups: dict[str, dict[str, list[float]]] = {}
-    for row in reps.rows:
-        groups.setdefault(row.animal_id, {}).setdefault(row.key, []).append(row.value)
-
-    animal_ids = list(groups)
-    key_sets = {animal: frozenset(cols) for animal, cols in groups.items()}
-    reference = key_sets[animal_ids[0]]
-    for animal, ks in key_sets.items():
-        if ks != reference:
+    if all(k in columns for k in GRADER_KEYS):  # SS = mean(S1..S3)
+        if DERIVED_SCORE_KEY in columns:
             raise ValidationError(
-                f"animal {animal} covers keys {sorted(ks)}, "
-                f"expected {sorted(reference)}"
+                "SS may not be supplied directly when S1..S3 are present"
             )
-
-    keys = sorted(reference)
-    columns = {
-        key: np.array([float(np.mean(groups[a][key])) for a in animal_ids])
-        for key in keys
-    }
-    provenance = {key: "averaged-from-replicates" for key in keys}
-    _derive_ss(columns, provenance)
+        stacked = np.vstack([columns[k] for k in GRADER_KEYS])
+        columns[DERIVED_SCORE_KEY] = stacked.mean(axis=0)
+        provenance[DERIVED_SCORE_KEY] = "derived"
     return HerdTable(tuple(animal_ids), columns, provenance)
 
 
@@ -285,8 +216,9 @@ def describe(table: HerdTable, key) -> DescriptiveStats:
     """Summary statistics for one column: sample std (n-1 denominator),
     quantiles by linear interpolation between closest ranks."""
     x = table.column(key)
-    mean = float(np.mean(x))
-    std = 0.0 if x.size == 1 else float(np.std(x, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = float(np.mean(x))
+        std = 0.0 if x.size == 1 else float(np.std(x, ddof=1))
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise NumericalError(f"mean or std of column {key} overflowed")
     q25, q50, q75 = np.quantile(x, [0.25, 0.5, 0.75])  # linear interpolation

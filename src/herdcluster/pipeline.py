@@ -25,7 +25,7 @@ from .dataset import HerdTable, canonical_key, describe_all, load_table
 from .errors import DegenerateInputError, ValidationError
 from .inference import one_way_anova, tukey_hsd
 from .stats import (
-    CorrelationMatrix, StandardizedMatrix, correlation_matrix, label_correlation,
+    CorrelationMatrix, StandardizedMatrix, correlation_matrix, pearson_r,
     select_features, zscore,
 )
 
@@ -57,9 +57,12 @@ class PipelineConfig:
     k_range: tuple[int, int] = (1, 10)
     seed: int = 0
     alpha: float = 0.05
-    n_restarts: int = 10
     output_dir: str = "out"
     emit_charts: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:  # NaN fails too
+            raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
 
     def as_dict(self) -> dict:
         return {
@@ -120,7 +123,9 @@ def correlation_csv(corr: CorrelationMatrix) -> str:
 def correlate(table: HerdTable) -> CorrelationMatrix:
     """Pearson matrix over the table's non-constant columns (a column whose
     std overflowed to NaN is kept, so that `pearson_r` reports it)."""
-    return correlation_matrix(table, [k for k in table.keys if table.column(k).std() != 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        keep = [k for k in table.keys if table.column(k).std() != 0.0]
+    return correlation_matrix(table, keep)
 
 
 def scan_k(z: StandardizedMatrix, k_range: tuple[int, int],
@@ -186,14 +191,14 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     selection = select_features(corr, target, cfg.feature_count, cfg.exclude)
     z = zscore(table, selection.selected)
     # k is set per fit by scan_k and fit_model
-    kcfg = KMeansConfig(k=1, seed=cfg.seed, n_restarts=cfg.n_restarts)
+    kcfg = KMeansConfig(k=1, seed=cfg.seed)
     elbow = scan_k(z, cfg.k_range, kcfg)
     model = fit_model(z, cfg.k, elbow, kcfg)
 
     label_corr = {}
     for key in corr.keys:  # none when k = 1: constant labels are degenerate
         try:
-            label_corr[key] = label_correlation(model.labels, table, key)
+            label_corr[key] = pearson_r(model.labels, table.column(key))
         except DegenerateInputError:
             continue
 

@@ -23,14 +23,16 @@ def pearson_r(x, y) -> float:
         )
     if x.size < 2:
         raise ValidationError("need at least 2 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(np.dot(xc, xc))
-    sy = float(np.dot(yc, yc))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sx = float(np.dot(xc, xc))
+        sy = float(np.dot(yc, yc))
+        sxy = float(np.dot(xc, yc))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInputError("constant input has no defined correlation")
     scale = math.sqrt(sx * sy)
-    r = float(np.dot(xc, yc)) / scale
+    r = sxy / scale
     if not (math.isfinite(scale) and math.isfinite(r)):
         raise NumericalError("correlation overflowed: values too large")
     return min(1.0, max(-1.0, r))
@@ -124,8 +126,9 @@ def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
     """Standardize the selected columns to zero mean, unit sample std."""
     keys = tuple(canonical_key(k) for k in keys)
     X = table.matrix(keys)
-    means = X.mean(axis=0)
-    stds = X.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        means = X.mean(axis=0)
+        stds = X.std(axis=0, ddof=1)
     bad = [k for k, m, s in zip(keys, means, stds) if not np.isfinite([m, s]).all()]
     if bad:
         raise NumericalError(f"mean or std is not finite in column(s): {', '.join(bad)}")
@@ -140,8 +143,3 @@ def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
         stds=stds,
     )
 
-
-def label_correlation(labels, table: HerdTable, key) -> float:
-    """Pearson r between integer cluster labels (treated as numeric) and a
-    measurement column; constant labels raise DegenerateInputError."""
-    return pearson_r(np.asarray(labels, dtype=float), table.column(key))

@@ -150,6 +150,15 @@ class TestEvaluateCommand:
             err = capsys.readouterr().err
             assert "labels.csv:5" in err and repr(bad) in err
 
+    def test_label_record_width(self, tmp_path, capsys):
+        path, _ = make_blob_csv(tmp_path, n=6)
+        rows = [[f"a{i}", 1 + i % 2] for i in range(6)]
+        rows[2].append(9)
+        labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster"], rows)
+        assert main(["evaluate", "--input", str(path),
+                     "--labels", str(labels), "--target", "BW"]) == 2
+        assert "labels.csv:4: expected 2 fields, got 3" in capsys.readouterr().err
+
     def test_duplicate_animal(self, tmp_path, capsys):
         path, _ = make_blob_csv(tmp_path, n=6)
         rows = [[f"a{i}", 1 + i % 2] for i in range(6)] + [["a2", 1]]
@@ -251,21 +260,21 @@ class TestOverflowingColumn:
                 ["d", 1, 320.0]]
         return write_csv(tmp_path / "huge.csv", ["animal_id", "X", "BW"], rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_describe(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            assert main(["describe", "--input", str(self._table(tmp_path))]) == 3
+        assert main(["describe", "--input", str(self._table(tmp_path))]) == 3
         assert "column X overflowed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_correlate(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            assert main(["correlate", "--input", str(self._table(tmp_path))]) == 3
+        assert main(["correlate", "--input", str(self._table(tmp_path))]) == 3
         assert "overflowed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_pipeline(self, tmp_path, capsys):
-        with np.errstate(all="ignore"):
-            assert main(["pipeline", "--input", str(self._table(tmp_path)),
-                         "--target", "BW", "--features", "1",
-                         "--out", str(tmp_path / "out")]) == 3
+        assert main(["pipeline", "--input", str(self._table(tmp_path)),
+                     "--target", "BW", "--features", "1",
+                     "--out", str(tmp_path / "out")]) == 3
         assert "overflowed" in capsys.readouterr().err
 
 
@@ -298,6 +307,21 @@ class TestAlphaChecked:
         assert "alpha must be in (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert main(argv + ["--alpha", "0.5"]) == 0
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2, not in a traceback."""
+
+    def test_describe_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["describe", "--input", "builtin:scores", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_pipeline_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["pipeline", "--input", "builtin:synthetic", "--preset", "dorsum",
+                     "--out", str(tmp_path / "file" / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestJsonOutputs:

@@ -6,14 +6,12 @@ import pytest
 from herdcluster import (
     HerdTable,
     NumericalError,
-    ReplicateTable,
     ValidationError,
     aggregate_scores,
-    collapse_replicates,
     describe,
     load_table,
 )
-from herdcluster.dataset import ReplicateRow, canonical_key
+from herdcluster.dataset import canonical_key
 
 from conftest import write_csv
 
@@ -70,6 +68,13 @@ class TestLoadTable:
         with pytest.raises(ValidationError, match="non-numeric"):
             load_table(path)
 
+    def test_record_width_checked(self, tmp_path):
+        # the blank line 3 is skipped, not counted as a short record
+        path = tmp_path / "t.csv"
+        path.write_text("animal_id,CH,RH\na,1,2\n\nb,3\n")
+        with pytest.raises(ValidationError, match=r"t\.csv:4: expected 3 fields, got 2$"):
+            load_table(path)
+
     def test_duplicate_column(self, tmp_path):
         path = write_csv(
             tmp_path / "t.csv", ["animal_id", "CH", "ch"], [["a", 1, 2]]
@@ -99,73 +104,6 @@ class TestLoadTable:
         assert canonical_key(" bw ") == "BW"
         with pytest.raises(ValidationError):
             canonical_key("not a key!")
-
-
-class TestCollapseReplicates:
-    def test_mean_of_two(self):
-        reps = ReplicateTable(
-            (
-                ReplicateRow("A", "CH", 130.0),
-                ReplicateRow("A", "CH", 132.0),
-            )
-        )
-        table = collapse_replicates(reps)
-        assert table.column("CH")[0] == 131.0
-        assert table.provenance["CH"] == "averaged-from-replicates"
-
-    def test_five_replicates(self):
-        rows = tuple(ReplicateRow("A", "RH", v) for v in (64, 65, 66, 67, 68))
-        assert collapse_replicates(ReplicateTable(rows)).column("RH")[0] == 66.0
-
-    def test_single_replicate_identity(self):
-        reps = ReplicateTable((ReplicateRow("A", "CH", 130.0),))
-        assert collapse_replicates(reps).column("CH")[0] == 130.0
-
-    def test_ragged_coverage_rejected(self):
-        reps = ReplicateTable(
-            (
-                ReplicateRow("A", "CH", 130.0),
-                ReplicateRow("B", "RH", 65.0),
-            )
-        )
-        with pytest.raises(ValidationError, match="covers keys"):
-            collapse_replicates(reps)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValidationError, match="empty"):
-            collapse_replicates(ReplicateTable(()))
-
-    def test_collapse_then_describe_matches_preaveraged(self, tmp_path):
-        rng = np.random.default_rng(7)
-        animals = [f"a{i}" for i in range(6)]
-        rows = []
-        averaged = {}
-        for animal in animals:
-            vals = rng.uniform(100, 140, size=4)
-            averaged[animal] = vals.mean()
-            rows += [ReplicateRow(animal, "CH", float(v)) for v in vals]
-        collapsed = collapse_replicates(ReplicateTable(tuple(rows)))
-        path = write_csv(
-            tmp_path / "pre.csv",
-            ["animal_id", "CH"],
-            [[a, repr(float(averaged[a]))] for a in animals],
-        )
-        pre = load_table(path)
-        assert describe(collapsed, "CH") == describe(pre, "CH")
-
-    def test_from_csv_roundtrip(self, tmp_path):
-        path = write_csv(
-            tmp_path / "reps.csv",
-            ["animal_id", "key", "value", "source"],
-            [["A", "CH", 130, "img1"], ["A", "CH", 132, "img2"]],
-        )
-        table = collapse_replicates(ReplicateTable.from_csv(path))
-        assert table.column("CH")[0] == 131.0
-
-    def test_from_csv_rejects_wrong_header(self, tmp_path):
-        path = write_csv(tmp_path / "reps.csv", ["id", "k", "v", "s"], [])
-        with pytest.raises(ValidationError, match="header"):
-            ReplicateTable.from_csv(path)
 
 
 class TestAggregateScores:
@@ -203,10 +141,11 @@ class TestAggregateScores:
 
 
 class TestDescribe:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_moments_raise(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["animal_id", "X"],
                          [["a", 1e308], ["b", 1e308], ["c", -1e308], ["d", 1]])
-        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="X"):
+        with pytest.raises(NumericalError, match="X"):
             describe(load_table(path), "X")
 
     def test_published_ss_row(self, scores_table):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import herdcluster
 from herdcluster import (
-    KMeansConfig, ValidationError, kmeans_fit, load_table, order_clusters, zscore,
+    KMeansConfig, PipelineConfig, ValidationError, data, kmeans_fit, load_table,
+    order_clusters, zscore,
 )
 from herdcluster import pipeline
 from herdcluster.pipeline import (
@@ -92,3 +94,17 @@ def test_evaluate_skips_tukey_only_when_anova_is_degenerate():
     assert list(full) == ["anova", "tukey"] and full["tukey"].alpha == 0.05
     flat = evaluate([1, 1, 5, 5], [1, 1, 2, 2], 0.05)
     assert list(flat) == ["anova"] and flat["anova"].degenerate
+
+
+@pytest.mark.parametrize("alpha", [7, 0, 1, -0.1, float("nan")])
+def test_config_rejects_alpha_outside_unit_interval(alpha):
+    # k = 1 runs no Tukey test, so nothing later would catch this alpha
+    with pytest.raises(ValidationError, match=r"alpha must be in \(0, 1\)"):
+        PipelineConfig.from_preset("dorsum", data.synthetic_path(), k=1, alpha=alpha)
+
+
+def test_public_names_resolve():
+    assert all(hasattr(herdcluster, name) for name in herdcluster.__all__)
+    namespace = {}
+    exec("from herdcluster import *", namespace)
+    assert set(herdcluster.__all__) <= set(namespace)
