@@ -177,7 +177,11 @@ def kmeans_fit(z, cfg: KMeansConfig) -> KMeansModel:
         if best is None or inertia < best[2]:
             best = (centroids, labels, inertia, history)
 
-    centroids, labels, inertia, history = best
+    return _model(z, cfg, *best)
+
+
+def _model(z, cfg: KMeansConfig, centroids, labels, inertia, history) -> KMeansModel:
+    """Wrap one `_lloyd` result, carrying a StandardizedMatrix's scaling."""
     model = KMeansModel(
         centroids=centroids,
         labels=labels + 1,
@@ -237,6 +241,11 @@ def assign(model: KMeansModel, new_points) -> np.ndarray:
     return labels + 1
 
 
+def _rises(prev: float, cur: float) -> bool:
+    """Whether distortion `cur` exceeds its predecessor `prev` beyond rounding."""
+    return cur > prev + 1e-9 * max(1.0, abs(prev))
+
+
 @dataclass(frozen=True)
 class ElbowResult:
     """Distortion-vs-k curve with the detected knee, if any. `models`
@@ -250,7 +259,7 @@ class ElbowResult:
 
     def __post_init__(self):
         for prev, cur in zip(self.distortions, self.distortions[1:]):
-            if cur > prev + 1e-9 * max(1.0, abs(prev)):
+            if _rises(prev, cur):
                 raise NumericalError(
                     f"distortion curve increased from {prev} to {cur}"
                 )
@@ -304,7 +313,18 @@ def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
             f"k range [{lo}, {hi}] outside [1, {X.shape[0]}]"
         )
     k_values = list(range(lo, hi + 1))
-    models = [kmeans_fit(z, replace(cfg, k=k)) for k in k_values]
+    models = []
+    for k in k_values:
+        model = kmeans_fit(z, replace(cfg, k=k))
+        if models and _rises(models[-1].inertia, model.inertia):
+            # best-of-restarts missed a fit as good as k-1's: grow k-1's
+            # centroids by the point farthest from them, which Lloyd can
+            # only improve on
+            prev = models[-1].centroids
+            far = int(np.argmax(_nearest(X, prev)[0].min(axis=1)))
+            start = np.vstack([prev, X[far]])
+            model = _model(z, model.config, *_lloyd(X, start, cfg.max_iter, cfg.tol))
+        models.append(model)
     distortions = [m.inertia for m in models]
     knee = detect_knee(k_values, distortions) if len(k_values) >= 3 else None
     return ElbowResult(tuple(k_values), tuple(distortions), knee, tuple(models))

@@ -117,11 +117,11 @@ class ScoreSummary:
 
 def read_csv(path) -> Iterator[tuple[int, list[str]]]:
     """Stream (line number, record) for the header (line 1) and each
-    non-blank record of a UTF-8 CSV file. A missing, empty, undecodable or
-    malformed file, or a record whose width differs from the header's,
-    raises ValidationError."""
+    non-blank record of a UTF-8 CSV file (a leading BOM is skipped). A
+    missing, empty, undecodable or malformed file, or a record whose width
+    differs from the header's, raises ValidationError."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

@@ -1,8 +1,8 @@
 """One-way ANOVA and Tukey HSD over cluster groupings.
 
-The distribution machinery (log-gamma, regularized incomplete beta, F CDF,
-studentized range CDF) is implemented here directly so the hypothesis
-tests carry no numerical dependencies beyond numpy array handling.
+The distribution machinery (regularized incomplete beta, F CDF, studentized
+range CDF) is implemented here on `math.lgamma` and numpy array handling
+alone, so the hypothesis tests carry no other numerical dependencies.
 """
 
 from __future__ import annotations
@@ -15,38 +15,17 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericalError, ValidationError
 
-# Lanczos approximation, g = 7, 9 coefficients
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if x <= 0.0:
         raise ValidationError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """Continued fraction for the incomplete beta (modified Lentz). Term m
+    applies its even, then its odd coefficient, then tests convergence."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -57,25 +36,18 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise NumericalError(
@@ -94,7 +66,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     if x == 1.0:
         return 1.0
     ln_front = (
-        ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
         + a * math.log(x) + b * math.log1p(-x)
     )
     front = math.exp(ln_front)
@@ -157,7 +129,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
 
     # scale u = s/sigma has density prop. to u^(df-1) exp(-df u^2 / 2)
     ln_norm = (
-        (df / 2.0) * math.log(df) - ln_gamma(df / 2.0)
+        (df / 2.0) * math.log(df) - math.lgamma(df / 2.0)
         - (df / 2.0 - 1.0) * math.log(2.0)
     )
     lo = max(0.0, 1.0 - 9.0 / math.sqrt(df))
@@ -178,8 +150,10 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     return min(1.0, max(0.0, p))
 
 
-def studentized_range_ppf(p: float, k: int, df: int,
-                          tol: float = 1e-8) -> float:
+_PPF_TOL = 1e-8  # bisection stops at this width relative to max(1, q)
+
+
+def studentized_range_ppf(p: float, k: int, df: int) -> float:
     """Inverse studentized range CDF by bisection."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must be in (0, 1), got {p}")
@@ -188,7 +162,7 @@ def studentized_range_ppf(p: float, k: int, df: int,
         hi *= 2.0
         if hi > 1e6:
             raise ValidationError("studentized range inverse out of range")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _PPF_TOL * max(1.0, hi):
         mid = (lo + hi) / 2.0
         if studentized_range_cdf(mid, k, df) < p:
             lo = mid

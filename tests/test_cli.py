@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from herdcluster.cli import main
 
-from conftest import write_csv
+from conftest import RISING_ELBOW_HEADER, RISING_ELBOW_ROWS, write_csv
 
 
 def make_blob_csv(tmp_path, seed=0, c=3, n=60):
@@ -167,6 +167,33 @@ class TestEvaluateCommand:
                      "--labels", str(labels), "--target", "BW"]) == 2
         err = capsys.readouterr().err
         assert "labels.csv:8" in err and "duplicate animal_id a2" in err
+
+
+    def test_labels_with_byte_order_mark(self, tmp_path, capsys):
+        # spreadsheet tools save CSVs with a UTF-8 BOM before the header
+        path, _ = make_blob_csv(tmp_path)
+        out = tmp_path / "out"
+        assert main(["cluster", "--input", str(path), "--target", "BW",
+                     "--features", "2", "--k", "3", "--out", str(out)]) == 0
+        plain = out / "labels.csv"
+        bom = tmp_path / "bom_labels.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        capsys.readouterr()
+        stdout = []
+        for labels in (plain, bom):
+            assert main(["evaluate", "--input", str(path),
+                         "--labels", str(labels), "--target", "BW"]) == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1]
+
+
+class TestRisingElbowCurve:
+    @pytest.mark.parametrize("command", ["pipeline", "cluster"])
+    def test_scan_completes(self, command, tmp_path, capsys):
+        path = write_csv(tmp_path / "t.csv", RISING_ELBOW_HEADER, RISING_ELBOW_ROWS)
+        assert main([command, "--input", str(path), "--target", "BW",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("k=4 ")
 
 
 class TestPipelineCommand:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from herdcluster import (
     detect_knee,
     elbow_scan,
     kmeans_fit,
+    load_table,
     order_clusters,
     zscore,
 )
 from herdcluster.clustering import ElbowResult, KMeansModel, restart_seed
 from herdcluster.pipeline import write_model
+
+from conftest import RISING_ELBOW_HEADER, RISING_ELBOW_ROWS, write_csv
 
 
 def brute_force_best_inertia(X, k):
@@ -296,6 +300,18 @@ class TestElbowScan:
         elbow = elbow_scan(X, (1, 10), KMeansConfig(k=1, seed=0))
         assert elbow.knee == 3
         assert len(elbow.k_values) == 10
+
+    def test_rising_fit_regrown_from_previous_k(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", RISING_ELBOW_HEADER, RISING_ELBOW_ROWS)
+        z = zscore(load_table(path), ["A", "B", "C"])
+        cfg = KMeansConfig(k=1, seed=0)
+        assert kmeans_fit(z, replace(cfg, k=7)).inertia > kmeans_fit(z, replace(cfg, k=6)).inertia
+        elbow = elbow_scan(z, (1, 10), cfg)
+        six, seven = elbow.models[5], elbow.models[6]
+        assert seven.config == replace(cfg, k=7) and seven.centroids.shape == (7, 3)
+        assert seven.inertia == elbow.distortions[6] <= six.inertia
+        assert seven.feature_keys == ("A", "B", "C")
+        assert elbow.knee == 4
 
     def test_distortions_non_increasing(self, rng):
         X = rng.normal(size=(40, 2))

@@ -42,6 +42,18 @@ class TestLoadTable:
         assert table.n_animals == 1
         assert table.column("CH")[0] == 130.5
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain = write_csv(tmp_path / "t.csv", ["animal_id", "CH", "BW"],
+                          [["a", 130.5, 300], ["b", 128.0, 310]])
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_table(plain), load_table(bom)
+        assert got.animal_ids == want.animal_ids
+        assert got.keys == want.keys
+        assert dict(got.provenance) == dict(want.provenance)
+        for key in want.keys:
+            np.testing.assert_array_equal(got.column(key), want.column(key))
+
     def test_duplicate_animal_id(self, tmp_path):
         path = write_csv(
             tmp_path / "t.csv", ["animal_id", "CH"], [["7", 1], ["7", 2]]
