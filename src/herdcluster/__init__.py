@@ -42,7 +42,6 @@ from .inference import (
     AnovaResult,
     TukeyResult,
     f_cdf,
-    ln_gamma,
     one_way_anova,
     reg_inc_beta,
     studentized_range_cdf,
@@ -79,7 +78,6 @@ __all__ = [
     "elbow_scan",
     "f_cdf",
     "kmeans_fit",
-    "ln_gamma",
     "load_table",
     "one_way_anova",
     "order_clusters",

@@ -139,7 +139,7 @@ def emit_scatter_svg(model: KMeansModel, z, path) -> None:
     sy = _Scale(float(min(ys.min(), cy.min())), float(max(ys.max(), cy.max())),
                 _H - _MARGIN, _MARGIN)
 
-    names = model.feature_keys or ("feature 1", "feature 2")
+    names = getattr(z, "keys", ("feature 1", "feature 2"))
     body = _axes(names[0], names[1] if two_d and len(names) > 1 else "")
     for i in range(X.shape[0]):
         c = int(model.labels[i])

@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data
-from .clustering import KMeansConfig
 from .dataset import describe_all, load_table, read_csv
 from .errors import NumericalError, ValidationError
 from .pipeline import (
     PRESETS, PipelineConfig, correlate, correlation_csv, csv_text, evaluate,
-    fit_model, json_text, run_pipeline, scan_k, write_model, write_text,
+    fit_model, json_text, run_pipeline, scan_k, select_for_target, write_model,
+    write_text,
 )
-from .stats import select_features, zscore
+from .stats import zscore
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -79,15 +79,12 @@ def cmd_correlate(args) -> int:
 
 def cmd_cluster(args) -> int:
     table = load_table(_resolve_input(args.input))
-    selection = select_features(
-        correlate(table), args.target, args.features,
-        _split_keys(args.exclude) + (args.target,),
-    )
+    _, selection = select_for_target(table, args.target, args.features,
+                                     _split_keys(args.exclude))
     z = zscore(table, selection.selected)
-    kcfg = KMeansConfig(k=1, seed=args.seed)  # k is set per fit
-    elbow = None if args.k is not None else scan_k(z, _parse_k_range(args.k_range), kcfg)
-    model = fit_model(z, args.k, elbow, kcfg)
-    write_model(args.out, table, model)
+    elbow = None if args.k is not None else scan_k(z, _parse_k_range(args.k_range), args.seed)
+    model = fit_model(z, args.k, elbow, args.seed)
+    write_model(args.out, z, model)
     print(f"k={model.k} inertia={model.inertia:.6f} features={','.join(selection.selected)}")
     return 0
 
@@ -95,23 +92,22 @@ def cmd_cluster(args) -> int:
 def _read_labels(path, animal_ids) -> np.ndarray:
     """Cluster labels from an `animal_id,cluster` CSV, in `animal_ids` order."""
     records = read_csv(path)
-    _, header = next(records)
+    header = [name.strip() for name in next(records)[1]]
     if "animal_id" not in header or "cluster" not in header:
         raise ValidationError("labels CSV needs animal_id,cluster columns")
     by_animal = {}
     for lineno, rec in records:
         row = dict(zip(header, rec))
+        animal = row["animal_id"].strip()
         try:
             label = np.int64(row["cluster"])
         except (ValueError, OverflowError):
             raise ValidationError(
                 f"{path}:{lineno}: cluster {row['cluster']!r} is not a 64-bit integer"
             ) from None
-        if row["animal_id"] in by_animal:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate animal_id {row['animal_id']}"
-            )
-        by_animal[row["animal_id"]] = label
+        if animal in by_animal:
+            raise ValidationError(f"{path}:{lineno}: duplicate animal_id {animal}")
+        by_animal[animal] = label
     try:
         return np.array([by_animal[a] for a in animal_ids])
     except KeyError as exc:

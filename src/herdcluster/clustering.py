@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .stats import StandardizedMatrix
 
 _FIRST_COORD_TIE_TOL = 1e-12
 
@@ -32,21 +31,18 @@ def restart_seed(seed: int, restart: int) -> int:
 @dataclass(frozen=True)
 class KMeansConfig:
     k: int
-    max_iter: int = 300
-    tol: float = 1e-6
     n_restarts: int = 10
     seed: int = 0
-    init: str = "kmeanspp"  # or "random-points"
+    # constants, not fields: still readable here for the benchmark's fit key
+    max_iter: ClassVar[int] = 300
+    tol: ClassVar[float] = 1e-6
+    init: ClassVar[str] = "kmeanspp"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError(f"k must be positive, got {self.k}")
-        if self.max_iter < 1 or self.n_restarts < 1:
-            raise ValidationError("max_iter and n_restarts must be positive")
-        if self.tol < 0:
-            raise ValidationError("tol must be non-negative")
-        if self.init not in ("kmeanspp", "random-points"):
-            raise ValidationError(f"unknown init method: {self.init}")
+        if self.n_restarts < 1:
+            raise ValidationError("n_restarts must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,9 +55,6 @@ class KMeansModel:
     config: KMeansConfig
     ordered: bool = False
     inertia_history: tuple[float, ...] = ()
-    feature_keys: tuple[str, ...] = ()
-    feature_means: tuple[float, ...] = ()
-    feature_stds: tuple[float, ...] = ()
 
     @property
     def k(self) -> int:
@@ -69,9 +62,6 @@ class KMeansModel:
 
     def as_dict(self) -> dict:
         return {
-            "keys": list(self.feature_keys),
-            "means": list(self.feature_means),
-            "stds": list(self.feature_stds),
             "centroids": [list(map(float, row)) for row in self.centroids],
             "labels": [int(v) for v in self.labels],
             "k": self.k,
@@ -83,7 +73,7 @@ class KMeansModel:
 
 
 def _as_points(z) -> np.ndarray:
-    X = z.z if isinstance(z, StandardizedMatrix) else np.asarray(z, dtype=float)
+    X = np.asarray(getattr(z, "z", z), dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2 or X.size == 0:
@@ -119,11 +109,7 @@ def _init_kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centroids
 
 
-def _init_random_points(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    return X[rng.choice(X.shape[0], size=k, replace=False)].copy()
-
-
-def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
+def _lloyd(X: np.ndarray, centroids: np.ndarray):
     """One Lloyd run from the given initial centroids.
 
     Returns (centroids, 0-based labels, inertia, per-iteration inertia).
@@ -133,7 +119,7 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
     k = centroids.shape[0]
     history = []
     labels = None
-    for _ in range(max_iter):
+    for _ in range(KMeansConfig.max_iter):
         d2, labels = _nearest(X, centroids)
         point_cost = d2[np.arange(X.shape[0]), labels]
         history.append(float(point_cost.sum()))
@@ -151,7 +137,7 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float):
                 cost[far] = -1.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        if shift <= tol:
+        if shift <= KMeansConfig.tol:
             break
 
     d2, labels = _nearest(X, centroids)
@@ -167,36 +153,21 @@ def kmeans_fit(z, cfg: KMeansConfig) -> KMeansModel:
     n = X.shape[0]
     if cfg.k > n:
         raise ValidationError(f"k={cfg.k} exceeds number of points n={n}")
-    init = _init_kmeanspp if cfg.init == "kmeanspp" else _init_random_points
 
     best = None
     for r in range(cfg.n_restarts):
         rng = np.random.default_rng(restart_seed(cfg.seed, r))
-        start = init(X, cfg.k, rng)
-        centroids, labels, inertia, history = _lloyd(X, start, cfg.max_iter, cfg.tol)
-        if best is None or inertia < best[2]:
-            best = (centroids, labels, inertia, history)
+        result = _lloyd(X, _init_kmeanspp(X, cfg.k, rng))
+        if best is None or result[2] < best[2]:
+            best = result
 
-    return _model(z, cfg, *best)
+    return _model(cfg, *best)
 
 
-def _model(z, cfg: KMeansConfig, centroids, labels, inertia, history) -> KMeansModel:
-    """Wrap one `_lloyd` result, carrying a StandardizedMatrix's scaling."""
-    model = KMeansModel(
-        centroids=centroids,
-        labels=labels + 1,
-        inertia=inertia,
-        config=cfg,
-        inertia_history=tuple(history),
-    )
-    if isinstance(z, StandardizedMatrix):
-        model = replace(
-            model,
-            feature_keys=z.keys,
-            feature_means=tuple(float(v) for v in z.means),
-            feature_stds=tuple(float(v) for v in z.stds),
-        )
-    return model
+def _model(cfg: KMeansConfig, centroids, labels, inertia, history) -> KMeansModel:
+    """Wrap one `_lloyd` result."""
+    return KMeansModel(centroids=centroids, labels=labels + 1, inertia=inertia,
+                       config=cfg, inertia_history=tuple(history))
 
 
 def _centroid_cmp(a, b) -> int:
@@ -302,8 +273,7 @@ def detect_knee(k_values: Sequence[int], distortions: Sequence[float]) -> int | 
 
 def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
     """Distortion (best-restart inertia) for every k in the inclusive
-    range, with knee detection. Each k is fitted on `z` itself, so the
-    kept models carry the feature keys and scaling of a StandardizedMatrix."""
+    range, with knee detection."""
     X = _as_points(z)
     lo, hi = int(k_range[0]), int(k_range[1])
     if lo > hi:
@@ -323,7 +293,7 @@ def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
             prev = models[-1].centroids
             far = int(np.argmax(_nearest(X, prev)[0].min(axis=1)))
             start = np.vstack([prev, X[far]])
-            model = _model(z, model.config, *_lloyd(X, start, cfg.max_iter, cfg.tol))
+            model = _model(model.config, *_lloyd(X, start))
         models.append(model)
     distortions = [m.inertia for m in models]
     knee = detect_knee(k_values, distortions) if len(k_values) >= 3 else None

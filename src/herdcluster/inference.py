@@ -16,13 +16,6 @@ import numpy as np
 from .errors import DegenerateInputError, NumericalError, ValidationError
 
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValidationError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz). Term m
     applies its even, then its odd coefficient, then tests convergence."""

@@ -1,8 +1,8 @@
 """Batch pipeline: describe -> correlate -> select -> standardize ->
 elbow -> cluster -> order -> evaluate, with all artifacts written to an
-output directory. Its stages (`correlate`, `scan_k`, `fit_model`,
-`write_model`, `evaluate`) also make up the CLI commands, and every JSON
-and CSV output is formatted here, by `json_text` and `csv_text`."""
+output directory. Its stages (`correlate`, `select_for_target`, `scan_k`,
+`fit_model`, `write_model`, `evaluate`) also make up the CLI commands, and
+every JSON and CSV output is formatted here, by `json_text` and `csv_text`."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import datetime
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ from .dataset import HerdTable, canonical_key, describe_all, load_table
 from .errors import DegenerateInputError, ValidationError
 from .inference import one_way_anova, tukey_hsd
 from .stats import (
-    CorrelationMatrix, StandardizedMatrix, correlation_matrix, pearson_r,
-    select_features, zscore,
+    CorrelationMatrix, FeatureSelection, StandardizedMatrix, correlation_matrix,
+    pearson_r, select_features, zscore,
 )
 
 #: The two measurement-selection configurations used for the published
@@ -128,15 +128,28 @@ def correlate(table: HerdTable) -> CorrelationMatrix:
     return correlation_matrix(table, keep)
 
 
-def scan_k(z: StandardizedMatrix, k_range: tuple[int, int],
-           kcfg: KMeansConfig) -> ElbowResult:
+def select_for_target(table: HerdTable, target: str, count: int,
+                      exclude: tuple[str, ...]) -> tuple[CorrelationMatrix, FeatureSelection]:
+    """The correlation matrix and the `count` keys, `exclude` and `target`
+    left out, that correlate best with the target column."""
+    target = canonical_key(target)
+    if target not in table.columns:
+        raise ValidationError(f"target column {target} not in input")
+    corr = correlate(table)
+    if target not in corr.keys:
+        raise ValidationError(f"target column {target} is constant")
+    return corr, select_features(corr, target, count, exclude)
+
+
+def scan_k(z: StandardizedMatrix, k_range: tuple[int, int], seed: int) -> ElbowResult:
     """Elbow scan over `k_range`, its upper end clipped to the herd size."""
     lo, hi = k_range
-    return elbow_scan(z, (lo, min(hi, len(z.animal_ids))), kcfg)
+    n = len(z.animal_ids)  # elbow_scan sets k per fit and reads only the seed
+    return elbow_scan(z, (lo, min(hi, n)), KMeansConfig(k=n, seed=seed))
 
 
 def fit_model(z: StandardizedMatrix, k: int | None, elbow: ElbowResult | None,
-              kcfg: KMeansConfig) -> KMeansModel:
+              seed: int) -> KMeansModel:
     """Ordered k-means model at `k`, or at the elbow's knee when `k` is
     None. The elbow's fit with the same config is reused, not refitted."""
     if k is None:
@@ -148,20 +161,25 @@ def fit_model(z: StandardizedMatrix, k: int | None, elbow: ElbowResult | None,
     n = len(z.animal_ids)
     if not 1 <= k <= n:
         raise ValidationError(f"k override {k} outside [1, {n}]")
-    want = replace(kcfg, k=k)
+    want = KMeansConfig(k=k, seed=seed)
     scanned = {m.config: m for m in elbow.models} if elbow else {}
     return order_clusters(scanned[want] if want in scanned else kmeans_fit(z, want))
 
 
-def write_model(out, table: HerdTable, model: KMeansModel) -> list[str]:
+def _model_doc(z: StandardizedMatrix, model: KMeansModel) -> dict:
+    """The model with the feature keys and scaling it was fitted under."""
+    return {"keys": list(z.keys), "means": z.means.tolist(), "stds": z.stds.tolist(),
+            **model.as_dict()}
+
+
+def write_model(out, z: StandardizedMatrix, model: KMeansModel) -> list[str]:
     """Write centroids.csv (one row per cluster 1..k), labels.csv (the
-    table's animal order) and model.json under `out`; return their names."""
-    keys = model.feature_keys or [f"f{j + 1}" for j in range(model.centroids.shape[1])]
+    animal order of `z`) and model.json under `out`; return their names."""
     files = {
-        "centroids.csv": csv_text(["cluster", *keys],
+        "centroids.csv": csv_text(["cluster", *z.keys],
                                   ([i, *row] for i, row in enumerate(model.centroids, 1))),
-        "labels.csv": csv_text(["animal_id", "cluster"], zip(table.animal_ids, model.labels)),
-        "model.json": json_text(model.as_dict()),
+        "labels.csv": csv_text(["animal_id", "cluster"], zip(z.animal_ids, model.labels)),
+        "model.json": json_text(_model_doc(z, model)),
     }
     Path(out).mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
@@ -182,18 +200,12 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     """Execute the full analysis chain and write report.json, labels.csv,
     centroids.csv (and charts when requested) under cfg.output_dir."""
     table = load_table(cfg.input_path)
-    target = canonical_key(cfg.target)
-    if target not in table.columns:
-        raise ValidationError(f"target column {target} not in input")
-
+    corr, selection = select_for_target(table, cfg.target, cfg.feature_count, cfg.exclude)
+    target = selection.target
     stats_block = [d.as_dict() for d in describe_all(table)]
-    corr = correlate(table)
-    selection = select_features(corr, target, cfg.feature_count, cfg.exclude)
     z = zscore(table, selection.selected)
-    # k is set per fit by scan_k and fit_model
-    kcfg = KMeansConfig(k=1, seed=cfg.seed)
-    elbow = scan_k(z, cfg.k_range, kcfg)
-    model = fit_model(z, cfg.k, elbow, kcfg)
+    elbow = scan_k(z, cfg.k_range, cfg.seed)
+    model = fit_model(z, cfg.k, elbow, cfg.seed)
 
     label_corr = {}
     for key in corr.keys:  # none when k = 1: constant labels are degenerate
@@ -208,7 +220,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         evaluation[target] = {name: r.as_dict() for name, r in results.items()}
 
     out = Path(cfg.output_dir)
-    artifacts = write_model(out, table, model) + ["correlation.csv"]
+    artifacts = write_model(out, z, model) + ["correlation.csv"]
     write_text(out / "correlation.csv", correlation_csv(corr))
     if cfg.emit_charts:
         artifacts += ["elbow.svg", "scatter.svg", "boxplot.svg"]
@@ -224,7 +236,7 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
         "selection": selection.as_dict(),
         "elbow": elbow.as_dict(),
         "k": model.k,
-        "model": model.as_dict(),
+        "model": _model_doc(z, model),
         "label_correlation": label_corr,
         "evaluation": evaluation,
         "artifacts": sorted(artifacts) + ["report.json"],

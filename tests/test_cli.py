@@ -186,6 +186,55 @@ class TestEvaluateCommand:
             stdout.append(capsys.readouterr().out)
         assert stdout[0] == stdout[1]
 
+    def test_labels_with_padded_cells(self, tmp_path, capsys):
+        # ids are stripped as load_table strips them, header names too
+        path, _ = make_blob_csv(tmp_path)
+        out = tmp_path / "out"
+        assert main(["cluster", "--input", str(path), "--target", "BW",
+                     "--features", "2", "--k", "3", "--out", str(out)]) == 0
+        plain = out / "labels.csv"
+        rows = plain.read_text().splitlines()
+        padded_ids = tmp_path / "padded_ids.csv"
+        padded_ids.write_text("\n".join(rows[:1] + [f" {r.replace(',', ' ,')}" for r in rows[1:]]))
+        padded_header = tmp_path / "padded_header.csv"
+        padded_header.write_text("\n".join(["animal_id, cluster", *rows[1:]]))
+        capsys.readouterr()
+        stdout = []
+        for labels in (plain, padded_ids, padded_header):
+            assert main(["evaluate", "--input", str(path),
+                         "--labels", str(labels), "--target", "BW"]) == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1] == stdout[2]
+
+    def test_duplicate_after_stripping(self, tmp_path, capsys):
+        path, _ = make_blob_csv(tmp_path, n=6)
+        rows = [[f"a{i}", 1 + i % 2] for i in range(6)] + [["a2 ", 1]]
+        labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster"], rows)
+        assert main(["evaluate", "--input", str(path),
+                     "--labels", str(labels), "--target", "BW"]) == 2
+        assert "labels.csv:8: duplicate animal_id a2" in capsys.readouterr().err
+
+
+class TestTargetChecked:
+    """cluster and pipeline reject a bad --target with one message each."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "cluster"])
+    def test_missing_column(self, command, tmp_path, capsys):
+        assert main([command, "--input", "builtin:synthetic", "--target", "ZZ",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: target column ZZ not in input\n"
+
+    @pytest.mark.parametrize("command", ["pipeline", "cluster"])
+    def test_constant_column(self, command, tmp_path, capsys):
+        path, _ = make_blob_csv(tmp_path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        for row in rows[1:]:
+            row[1] = "5.0"
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        assert main([command, "--input", str(path), "--target", "BW",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: target column BW is constant\n"
+
 
 class TestRisingElbowCurve:
     @pytest.mark.parametrize("command", ["pipeline", "cluster"])

@@ -4,14 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize
 
 from herdcluster import (
     DegenerateInputError,
     NumericalError,
     ValidationError,
     f_cdf,
-    ln_gamma,
     one_way_anova,
     reg_inc_beta,
     studentized_range_cdf,
@@ -63,33 +62,6 @@ def studentized_range_cdf_oracle(q, k, df):
     hi = 1 + 10 / math.sqrt(df)
     val, _ = integrate.quad(outer, 1e-12, hi, limit=200)
     return val
-
-
-class TestLnGamma:
-    def test_factorial_identities(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert ln_gamma(5.0) == pytest.approx(math.log(24), rel=1e-14)
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-
-    def test_recurrence(self):
-        for x in (0.7, 1.3, 4.2, 17.5, 63.0):
-            assert ln_gamma(x + 1) == pytest.approx(
-                ln_gamma(x) + math.log(x), rel=1e-12
-            )
-
-    def test_relative_accuracy_across_domain(self):
-        # spans both sides of x = 0.5, where series approximations of
-        # log-gamma commonly switch to the reflection formula
-        for x in np.geomspace(0.01, 2000, 250):
-            ref = float(special.gammaln(x))
-            err = abs(ln_gamma(float(x)) - ref)
-            assert err <= 1e-12 * max(1.0, abs(ref))
-
-    def test_domain_violation(self):
-        with pytest.raises(ValidationError):
-            ln_gamma(0.0)
-        with pytest.raises(ValidationError):
-            ln_gamma(-2.5)
 
 
 class TestRegIncBeta:

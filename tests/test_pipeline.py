@@ -19,9 +19,6 @@ def z(synthetic_table):
     return zscore(synthetic_table, ["DA", "CW", "DL"])
 
 
-KCFG = KMeansConfig(k=1, seed=0)
-
-
 def test_correlate_skips_constant_columns(tmp_path):
     path = write_csv(tmp_path / "t.csv", ["animal_id", "A", "B", "C"],
                      [["a", 1, 5, 2], ["b", 2, 5, 1], ["c", 4, 5, 3]])
@@ -30,31 +27,33 @@ def test_correlate_skips_constant_columns(tmp_path):
 
 def test_scan_k_clips_to_herd_size(z):
     n = len(z.animal_ids)
-    assert scan_k(z, (1, n + 50), KCFG).k_values[-1] == n
+    elbow = scan_k(z, (1, n + 50), 4)
+    assert elbow.k_values[-1] == n
+    assert {m.config.seed for m in elbow.models} == {4}
 
 
 def test_fit_model_reuses_the_elbow_fit(z, monkeypatch):
-    elbow = scan_k(z, (1, 6), KCFG)
+    elbow = scan_k(z, (1, 6), 0)
 
     def refit(*args, **kwargs):
         raise AssertionError("the scanned k was fitted again")
 
     monkeypatch.setattr(pipeline, "kmeans_fit", refit)
     for k in (None, 2, 6):
-        model = fit_model(z, k, elbow, KCFG)
+        model = fit_model(z, k, elbow, 0)
         want = order_clusters(kmeans_fit(z, KMeansConfig(k=model.k, seed=0)))
         np.testing.assert_array_equal(model.centroids, want.centroids)
         np.testing.assert_array_equal(model.labels, want.labels)
-        assert model.ordered and model.feature_keys == ("DA", "CW", "DL")
+        assert model.ordered
 
 
 def test_fit_model_fits_k_outside_the_scan(z):
-    elbow = scan_k(z, (1, 4), KCFG)
-    model = fit_model(z, 7, elbow, KCFG)
+    elbow = scan_k(z, (1, 4), 0)
+    model = fit_model(z, 7, elbow, 0)
     want = order_clusters(kmeans_fit(z, KMeansConfig(k=7, seed=0)))
     np.testing.assert_array_equal(model.labels, want.labels)
-    # a scan under another config is not reused
-    other = fit_model(z, 3, elbow, KMeansConfig(k=1, seed=9))
+    # a scan under another seed is not reused
+    other = fit_model(z, 3, elbow, 9)
     assert other.config.seed == 9
 
 
@@ -62,9 +61,9 @@ def test_fit_model_checks_k(z):
     n = len(z.animal_ids)
     for bad in (0, -1, n + 1):
         with pytest.raises(ValidationError, match="outside"):
-            fit_model(z, bad, None, KCFG)
+            fit_model(z, bad, None, 0)
     with pytest.raises(ValidationError, match="no knee"):
-        fit_model(z, None, None, KCFG)
+        fit_model(z, None, None, 0)
 
 
 def test_json_text_format():
@@ -79,14 +78,17 @@ def test_csv_text_writes_floats_at_full_precision():
 
 
 def test_write_model_files(tmp_path, synthetic_table, z):
-    model = fit_model(z, 3, None, KCFG)
+    model = fit_model(z, 3, None, 0)
     out = tmp_path / "new" / "dir"
-    assert write_model(out, synthetic_table, model) == [
+    assert write_model(out, z, model) == [
         "centroids.csv", "labels.csv", "model.json"]
     labels = (out / "labels.csv").read_text().splitlines()
     assert labels[0] == "animal_id,cluster"
     assert labels[1:] == [f"{a},{c}" for a, c in zip(synthetic_table.animal_ids, model.labels)]
-    assert (out / "model.json").read_text() == json_text(model.as_dict())
+    assert (out / "centroids.csv").read_text().splitlines()[0] == "cluster,DA,CW,DL"
+    assert (out / "model.json").read_text() == json_text({
+        "keys": ["DA", "CW", "DL"], "means": z.means.tolist(), "stds": z.stds.tolist(),
+        **model.as_dict()})
 
 
 def test_evaluate_skips_tukey_only_when_anova_is_degenerate():
