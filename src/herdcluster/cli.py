@@ -153,7 +153,7 @@ def cmd_pipeline(args) -> int:
         cfg = PipelineConfig(
             input_path=str(input_path),
             target=args.target,
-            exclude=_split_keys(args.exclude) + (args.target,),
+            exclude=_split_keys(args.exclude),
             **overrides,
         )
     report = run_pipeline(cfg)

@@ -60,9 +60,10 @@ def correlation_matrix(table: HerdTable, keys: Sequence[str] | None = None) -> C
         for j in range(i + 1, n):
             try:
                 r[i, j] = r[j, i] = pearson_r(cols[i], cols[j])
-            except DegenerateInputError as exc:
-                raise DegenerateInputError(
-                    f"correlation undefined for pair ({keys[i]}, {keys[j]}): {exc}"
+            except (DegenerateInputError, NumericalError) as exc:
+                what = "overflowed" if isinstance(exc, NumericalError) else "undefined"
+                raise type(exc)(
+                    f"correlation {what} for pair ({keys[i]}, {keys[j]}): {exc}"
                 ) from None
     return CorrelationMatrix(keys, r)
 

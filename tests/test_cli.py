@@ -300,6 +300,14 @@ class TestPipelineCommand:
         firsts = [c[0] for c in doc["model"]["centroids"]]
         assert len(firsts) == 4 and firsts == sorted(firsts)
 
+    def test_exclude_echo_leaves_out_target(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--input", "builtin:synthetic", "--target", "BW",
+                     "--exclude", "FW,DMI", "--k", "3", "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["exclude"] == ["DMI", "FW"]
+        assert "BW" not in doc["selection"]["selected"]
+
     def test_preset_conflicts_with_target(self, capsys):
         assert main(["pipeline", "--input", "builtin:synthetic",
                      "--preset", "dorsum", "--target", "BW"]) == 2
@@ -352,6 +360,13 @@ class TestOverflowingColumn:
                      "--target", "BW", "--features", "1",
                      "--out", str(tmp_path / "out")]) == 3
         assert "overflowed" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cluster_names_the_pair(self, tmp_path, capsys):
+        assert main(["cluster", "--input", str(self._table(tmp_path)),
+                     "--target", "BW", "--features", "1",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "correlation overflowed for pair (X, BW)" in capsys.readouterr().err
 
 
 class TestAlphaChecked:

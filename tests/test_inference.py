@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from herdcluster import (
     DegenerateInputError,
@@ -17,6 +17,7 @@ from herdcluster import (
     studentized_range_ppf,
     tukey_hsd,
 )
+from herdcluster.inference import _norm_cdf
 from herdcluster.pipeline import json_text
 
 
@@ -62,6 +63,43 @@ def studentized_range_cdf_oracle(q, k, df):
     hi = 1 + 10 / math.sqrt(df)
     val, _ = integrate.quad(outer, 1e-12, hi, limit=200)
     return val
+
+
+# (q, k, df, cdf) on the quadrature's fixed grid. The scipy checks allow
+# 1e-6, far more than any slip in the normal CDF or the grid would move a
+# value, so these pin the kernel's output to 1e-13.
+PINNED_SRANGE_CDF = [
+    (0.5, 2, 5, 0.2619073981060855),
+    (1.5, 2, 20, 0.6985141862348058),
+    (3.0, 2, 120, 0.9640476801349931),
+    (6.0, 2, 2000, 0.9999769007484595),
+    (10.0, 2, 600, 0.9999999999955655),
+    (25.0, 2, 2000, 1.0),
+    (40.0, 2, 5, 0.9999989653821455),
+    (0.5, 6, 600, 0.0007259565126414258),
+    (2.0, 6, 5, 0.27798450616435993),
+    (3.5, 6, 60, 0.8518790360206272),
+    (4.5, 6, 600, 0.9808902554895861),
+    (7.0, 6, 1100, 0.9999872869618294),
+    (12.0, 6, 200, 0.9999999999999103),
+    (40.0, 6, 2000, 1.0),
+    (0.5, 12, 5, 1.1215266429239294e-06),
+    (1.0, 12, 20, 0.00018729025663057216),
+    (3.0, 12, 1100, 0.3925206148300451),
+    (4.6, 12, 300, 0.9434713630061435),
+    (6.0, 12, 10, 0.957638135457347),
+    (8.0, 12, 1100, 0.9999987153296314),
+    (15.0, 12, 2000, 1.0),
+    (40.0, 12, 40, 0.999999999999996),
+    (0.5, 20, 1924, 1.8677493887906123e-13),
+    (2.5, 20, 5, 0.0998257700061496),
+    (4.0, 20, 100, 0.6466699776044971),
+    (5.0, 20, 1924, 0.9478043987814591),
+    (7.5, 20, 40, 0.9993347074335743),
+    (9.0, 20, 1924, 0.9999999535964829),
+    (20.0, 20, 2000, 1.0),
+    (40.0, 20, 500, 0.9999999999999407),
+]
 
 
 class TestRegIncBeta:
@@ -125,6 +163,20 @@ class TestFCdf:
             f_cdf(-0.1, 2, 2)
 
 
+class TestNormCdf:
+    def test_against_scipy_ndtr(self):
+        a = np.linspace(-38.0, 8.5, 200_001)
+        ref = special.ndtr(a)
+        got = _norm_cdf(a)
+        nonzero = ref > 0.0  # both underflow to 0 below a = -37.5
+        assert np.all(np.abs(got[nonzero] - ref[nonzero]) <= 1e-12 * ref[nonzero])
+        assert np.all(got[~nonzero] == 0.0)
+
+    def test_limits(self):
+        got = _norm_cdf(np.array([-np.inf, -1e300, 0.0, 1e300, np.inf]))
+        assert got.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+
 class TestStudentizedRangeCdf:
     def test_zero(self):
         assert studentized_range_cdf(0.0, 3, 10) == 0.0
@@ -152,6 +204,10 @@ class TestStudentizedRangeCdf:
         assert studentized_range_ppf(0.95, 3, 20) == pytest.approx(
             q_oracle, abs=5e-3
         )
+
+    @pytest.mark.parametrize("q, k, df, expected", PINNED_SRANGE_CDF)
+    def test_pinned_values(self, q, k, df, expected):
+        assert abs(studentized_range_cdf(q, k, df) - expected) <= 1e-13
 
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):
