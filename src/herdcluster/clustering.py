@@ -84,11 +84,11 @@ def _as_points(z) -> np.ndarray:
 
 
 def _nearest(X: np.ndarray, centroids: np.ndarray):
-    """Squared distances to centroids and nearest-centroid assignment
-    (ties go to the lowest centroid index, argmin's behaviour)."""
+    """Each point's squared distance to its nearest centroid, and that
+    centroid's index (ties go to the lowest index, argmin's behaviour)."""
     d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
-    return d2, labels
+    return d2[np.arange(X.shape[0]), labels], labels
 
 
 def _init_kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,37 +113,27 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray):
     """One Lloyd run from the given initial centroids.
 
     Returns (centroids, 0-based labels, inertia, per-iteration inertia).
-    Empty clusters are repaired by re-seeding them on the point currently
-    farthest from its assigned centroid, which never increases the
-    objective."""
+    A centroid is its members' per-feature sum, in row order, over their
+    count; an empty cluster is re-seeded on the point currently farthest
+    from its centroid, which never increases the objective."""
     k = centroids.shape[0]
     history = []
-    labels = None
-    for _ in range(KMeansConfig.max_iter):
-        d2, labels = _nearest(X, centroids)
-        point_cost = d2[np.arange(X.shape[0]), labels]
-        history.append(float(point_cost.sum()))
-
-        new_centroids = centroids.copy()
+    shift = np.inf
+    for it in range(KMeansConfig.max_iter + 1):
+        cost, labels = _nearest(X, centroids)
+        history.append(float(cost.sum()))
+        if it == KMeansConfig.max_iter or shift <= KMeansConfig.tol:
+            break
         counts = np.bincount(labels, minlength=k)
-        for c in range(k):
-            if counts[c] > 0:
-                new_centroids[c] = X[labels == c].mean(axis=0)
-        if np.any(counts == 0):
-            cost = point_cost.copy()
-            for c in np.where(counts == 0)[0]:
-                far = int(np.argmax(cost))
-                new_centroids[c] = X[far]
-                cost[far] = -1.0
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in X.T], axis=1)
+        new_centroids = sums / np.maximum(counts, 1)[:, None]
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(cost))
+            new_centroids[c] = X[far]
+            cost[far] = -1.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
-        if shift <= KMeansConfig.tol:
-            break
-
-    d2, labels = _nearest(X, centroids)
-    inertia = float(d2[np.arange(X.shape[0]), labels].sum())
-    history.append(inertia)
-    return centroids, labels, inertia, history
+    return centroids, labels, history[-1], history
 
 
 def kmeans_fit(z, cfg: KMeansConfig) -> KMeansModel:
@@ -291,7 +281,7 @@ def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
             # centroids by the point farthest from them, which Lloyd can
             # only improve on
             prev = models[-1].centroids
-            far = int(np.argmax(_nearest(X, prev)[0].min(axis=1)))
+            far = int(np.argmax(_nearest(X, prev)[0]))
             start = np.vstack([prev, X[far]])
             model = _model(model.config, *_lloyd(X, start))
         models.append(model)

@@ -195,8 +195,6 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     lo = max(0.0, 1.0 - 9.0 / math.sqrt(df))
     hi = 1.0 + 9.0 / math.sqrt(df)
     u, w = _gauss_legendre(_OUTER_NODES, lo, hi, _OUTER_PANELS)
-    mask = u > 0.0
-    u, w = u[mask], w[mask]
     dens = np.exp(ln_norm + (df - 1.0) * np.log(u) - df * u * u / 2.0)
 
     z, phi_w, cdf_z = _inner_grid()
@@ -298,10 +296,16 @@ def _grouped(values, labels):
 
 
 def _sums_of_squares(values, groups):
-    grand = float(values.mean())
-    ss_between = float(sum(g.size * (g.mean() - grand) ** 2 for g in groups))
-    ss_within = float(sum(((g - g.mean()) ** 2).sum() for g in groups))
-    return grand, ss_between, ss_within
+    """Grand mean and the between-group, within-group and total sums of
+    squares; NumericalError when any of them overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        grand = float(values.mean())
+        ss_between = float(sum(g.size * (g.mean() - grand) ** 2 for g in groups))
+        ss_within = float(sum(((g - g.mean()) ** 2).sum() for g in groups))
+        ss_total = float(((values - grand) ** 2).sum())
+    if not all(map(math.isfinite, (grand, ss_between, ss_within, ss_total))):
+        raise NumericalError("sums of squares overflowed: values too large")
+    return grand, ss_between, ss_within, ss_total
 
 
 def one_way_anova(values, labels) -> AnovaResult:
@@ -310,11 +314,11 @@ def one_way_anova(values, labels) -> AnovaResult:
     rather than an infinite statistic."""
     values, group_ids, groups = _grouped(values, labels)
     k, n = len(groups), values.size
-    grand, ss_between, ss_within = _sums_of_squares(values, groups)
+    grand, ss_between, ss_within, ss_total = _sums_of_squares(values, groups)
     df_b, df_w = k - 1, n - k
     means = tuple(float(g.mean()) for g in groups)
 
-    scale = max(1.0, float(((values - grand) ** 2).sum()))
+    scale = max(1.0, ss_total)
     if ss_within <= 1e-14 * scale:
         return AnovaResult(
             f_stat=0.0 if ss_between <= 1e-14 * scale else math.inf,
@@ -341,7 +345,7 @@ def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     values, group_ids, groups = _grouped(values, labels)
     k, n = len(groups), values.size
-    _, _, ss_within = _sums_of_squares(values, groups)
+    ss_within = _sums_of_squares(values, groups)[2]
     df_w = n - k
     if ss_within <= 0.0:
         raise DegenerateInputError("zero within-group variance")

@@ -145,6 +145,8 @@ def scan_k(z: StandardizedMatrix, k_range: tuple[int, int], seed: int) -> ElbowR
     """Elbow scan over `k_range`, its upper end clipped to the herd size."""
     lo, hi = k_range
     n = len(z.animal_ids)  # elbow_scan sets k per fit and reads only the seed
+    if not 1 <= lo <= n:  # checked here, so that the message names the range as given
+        raise ValidationError(f"k range [{lo}, {hi}] must start in [1, {n}], the herd size")
     return elbow_scan(z, (lo, min(hi, n)), KMeansConfig(k=n, seed=seed))
 
 

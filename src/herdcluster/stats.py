@@ -61,9 +61,11 @@ def correlation_matrix(table: HerdTable, keys: Sequence[str] | None = None) -> C
             try:
                 r[i, j] = r[j, i] = pearson_r(cols[i], cols[j])
             except (DegenerateInputError, NumericalError) as exc:
-                what = "overflowed" if isinstance(exc, NumericalError) else "undefined"
+                # pearson_r's overflow message already says what overflowed
+                what, cause = (("overflowed", "values too large") if isinstance(exc, NumericalError)
+                               else ("undefined", exc))
                 raise type(exc)(
-                    f"correlation {what} for pair ({keys[i]}, {keys[j]}): {exc}"
+                    f"correlation {what} for pair ({keys[i]}, {keys[j]}): {cause}"
                 ) from None
     return CorrelationMatrix(keys, r)
 

@@ -331,6 +331,14 @@ class TestPipelineCommand:
         assert main(["pipeline", "--input", "builtin:synthetic",
                      "--target", "BW", "--k-range", "oops"]) == 2
 
+    @pytest.mark.parametrize("k_range", ["30:40", "0:40", "40:30"])
+    def test_k_range_outside_herd_names_the_request(self, k_range, tmp_path, capsys):
+        # the range was clipped to the 23 animals first: "empty k range [30, 23]"
+        assert main(["pipeline", "--input", "builtin:synthetic", "--target", "BW",
+                     "--k-range", k_range, "--out", str(tmp_path / "o")]) == 2
+        lo, hi = k_range.split(":")
+        assert f"k range [{lo}, {hi}] must start in [1, 23], the herd size" in capsys.readouterr().err
+
 
 
 
@@ -366,7 +374,22 @@ class TestOverflowingColumn:
         assert main(["cluster", "--input", str(self._table(tmp_path)),
                      "--target", "BW", "--features", "1",
                      "--out", str(tmp_path / "out")]) == 3
-        assert "correlation overflowed for pair (X, BW)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "correlation overflowed for pair (X, BW)" in err
+        assert err.count("overflowed") == 1  # the cause is said once
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evaluate(self, tmp_path, capsys):
+        # sums of squares overflow: this ended in F = 0, p = 1 with exit 0
+        path = write_csv(tmp_path / "t.csv", ["animal_id", "BW"],
+                         [[f"a{i}", 1e308 if i == 0 else 0] for i in range(9)])
+        labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster"],
+                           [[f"a{i}", 1 if i < 8 else 2] for i in range(9)])
+        assert main(["evaluate", "--input", str(path), "--labels", str(labels),
+                     "--target", "BW"]) == 3
+        captured = capsys.readouterr()
+        assert "sums of squares overflowed" in captured.err
+        assert "ANOVA" not in captured.out
 
 
 class TestAlphaChecked:

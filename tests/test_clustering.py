@@ -2,9 +2,12 @@ import dataclasses
 import itertools
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herdcluster import (
     KMeansConfig,
@@ -18,7 +21,7 @@ from herdcluster import (
     order_clusters,
     zscore,
 )
-from herdcluster.clustering import ElbowResult, KMeansModel, restart_seed
+from herdcluster.clustering import ElbowResult, KMeansModel, _lloyd, restart_seed
 from herdcluster.pipeline import write_model
 
 from conftest import RISING_ELBOW_HEADER, RISING_ELBOW_ROWS, write_csv
@@ -154,6 +157,104 @@ class TestKMeansFit:
         seeds = {restart_seed(42, r) for r in range(64)}
         assert len(seeds) == 64
         assert restart_seed(42, 0) != 42
+
+
+def reference_lloyd(X, centroids):
+    """The Lloyd loop before centroid sums moved to np.bincount, kept as a
+    test-only reference: a masked mean per cluster, an empty-cluster
+    branch and a final assignment pass after the loop."""
+
+    def nearest(centroids):
+        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        return d2, np.argmin(d2, axis=1)
+
+    k = centroids.shape[0]
+    history = []
+    labels = None
+    for _ in range(KMeansConfig.max_iter):
+        d2, labels = nearest(centroids)
+        point_cost = d2[np.arange(X.shape[0]), labels]
+        history.append(float(point_cost.sum()))
+
+        new_centroids = centroids.copy()
+        counts = np.bincount(labels, minlength=k)
+        for c in range(k):
+            if counts[c] > 0:
+                new_centroids[c] = X[labels == c].mean(axis=0)
+        if np.any(counts == 0):
+            cost = point_cost.copy()
+            for c in np.where(counts == 0)[0]:
+                far = int(np.argmax(cost))
+                new_centroids[c] = X[far]
+                cost[far] = -1.0
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift <= KMeansConfig.tol:
+            break
+
+    d2, labels = nearest(centroids)
+    inertia = float(d2[np.arange(X.shape[0]), labels].sum())
+    history.append(inertia)
+    return centroids, labels, inertia, history
+
+
+def lloyd_case(seed, d, decimals, duplicate):
+    """Points and a start for one Lloyd run: n in 2..400, k in 1..10,
+    inputs optionally rounded (ties) and the start optionally holding a
+    duplicated centroid (an empty cluster in the first update)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 401))
+    k = int(rng.integers(1, min(n, 10) + 1))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+    if decimals is not None:
+        X = np.round(X, decimals)
+    start = X[rng.choice(n, size=k, replace=False)]
+    if duplicate and k > 1:
+        start[-1] = start[0]
+    return X, start
+
+
+_lloyd_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    decimals=st.sampled_from([None, 0, 1]),
+    duplicate=st.booleans(),
+    cap=st.sampled_from([KMeansConfig.max_iter, 1, 3]),
+)
+
+
+class TestLloydStep:
+    """`_lloyd` against the masked-mean reference: bit for bit where both
+    sum rows in index order (d >= 2); Lloyd's invariants at d = 1, where
+    numpy's mean sums a contiguous column pairwise instead."""
+
+    @given(d=st.integers(2, 6), **_lloyd_cases)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bit_for_bit(self, seed, d, decimals, duplicate, cap):
+        X, start = lloyd_case(seed, d, decimals, duplicate)
+        with mock.patch.object(KMeansConfig, "max_iter", cap):
+            want = reference_lloyd(X, start.copy())
+            got = _lloyd(X, start.copy())
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2] == got[3][-1]
+        assert np.array(got[3]).tobytes() == np.array(want[3]).tobytes()
+        assert len(got[3]) <= cap + 1
+
+    @given(**_lloyd_cases)
+    @settings(max_examples=100, deadline=None)
+    def test_one_feature_keeps_lloyd_invariants(self, seed, decimals, duplicate, cap):
+        X, start = lloyd_case(seed, 1, decimals, duplicate)
+        with mock.patch.object(KMeansConfig, "max_iter", cap):
+            centroids, labels, inertia, history = _lloyd(X, start.copy())
+        slack = 1e-12 * (X * X).sum()  # rounding: capped repair cycles rise by ~1e-33
+        assert all(b <= a + slack for a, b in zip(history, history[1:]))
+        d2 = (X - centroids.T) ** 2
+        assert np.all(d2[np.arange(len(X)), labels] == d2.min(axis=1))
+        assert inertia == history[-1]
+        if len(history) <= cap:  # converged: each centroid is its members' mean
+            for c in np.unique(labels):
+                np.testing.assert_allclose(centroids[c], X[labels == c].mean(axis=0),
+                                           rtol=1e-12, atol=1e-12 * np.abs(X).max())
 
 
 class TestOrderClusters:

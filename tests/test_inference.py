@@ -252,6 +252,16 @@ class TestOneWayAnova:
         with pytest.raises(ValidationError, match="more observations"):
             one_way_anova([1.0, 2.0], [1, 2])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sums_of_squares_raise(self):
+        # a sum of squares overflowed to inf read as degenerate: F = 0, p = 1
+        with pytest.raises(NumericalError, match="sums of squares overflowed"):
+            one_way_anova([1e308] + [0.0] * 8, [1] * 8 + [2])
+        # between (0.9e308) and within (1e308) are finite, their total is not
+        x, y = math.sqrt(0.5e308), math.sqrt(0.9e308)
+        with pytest.raises(NumericalError, match="sums of squares overflowed"):
+            one_way_anova([x, -x, y, y], [1, 1, 2, 2])
+
     def test_sum_of_squares_decomposition(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -324,6 +334,12 @@ class TestTukeyHsd:
     def test_zero_within_variance(self):
         with pytest.raises(DegenerateInputError):
             tukey_hsd([1, 1, 2, 2], [1, 1, 2, 2])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_within_variance_raises(self):
+        # ms_within = inf gave q = 0 and p_adj = 1 for every pair
+        with pytest.raises(NumericalError, match="sums of squares overflowed"):
+            tukey_hsd([1e308] + [0.0] * 8, [1] * 8 + [2])
 
     def test_text_and_json_output(self):
         r = tukey_hsd([1, 2, 5, 6, 9, 10], [1, 1, 2, 2, 3, 3])
