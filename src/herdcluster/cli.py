@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -55,10 +56,10 @@ def _parse_k_range(raw: str) -> tuple[int, int]:
 
 
 def _alpha(raw: str) -> float:
-    alpha = float(raw)
-    if not 0.0 < alpha < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {raw}")
-    return alpha
+    with contextlib.suppress(ValueError):  # a non-number gets the same message
+        if 0.0 < (alpha := float(raw)) < 1.0:  # NaN fails too
+            return alpha
+    raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {raw!r}")
 
 
 def cmd_describe(args) -> int:
@@ -173,54 +174,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p):
+    def add_command(name, func, help_):
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--input", required=True,
                        help="CSV path, builtin:scores or builtin:synthetic")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("describe", help="descriptive statistics per column")
-    add_input(p)
+    def add_clustering(p):
+        p.add_argument("--features", type=int, default=3)
+        p.add_argument("--exclude", help="comma-separated keys to exclude")
+        p.add_argument("--k", type=int, help="number of clusters (default: the elbow's knee)")
+        p.add_argument("--k-range", default="1:10")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default="out")
+
+    p = add_command("describe", cmd_describe, "descriptive statistics per column")
     p.add_argument("--out", help="write to this file instead of stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_describe)
 
-    p = sub.add_parser("correlate", help="Pearson correlation matrix")
-    add_input(p)
+    p = add_command("correlate", cmd_correlate, "Pearson correlation matrix")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("cluster", help="feature selection + k-means")
-    add_input(p)
+    p = add_command("cluster", cmd_cluster, "feature selection + k-means")
     p.add_argument("--target", required=True)
-    p.add_argument("--features", type=int, default=3)
-    p.add_argument("--exclude", help="comma-separated keys to exclude")
-    p.add_argument("--k", type=int)
-    p.add_argument("--k-range", default="1:10")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_cluster)
+    add_clustering(p)
 
-    p = sub.add_parser("evaluate", help="ANOVA + Tukey HSD for given labels")
-    add_input(p)
+    p = add_command("evaluate", cmd_evaluate, "ANOVA + Tukey HSD for given labels")
     p.add_argument("--labels", required=True, help="labels.csv from cluster/pipeline")
     p.add_argument("--target", required=True)
     p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--out", help="also write JSON results here")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("pipeline", help="full analysis chain")
-    add_input(p)
+    p = add_command("pipeline", cmd_pipeline, "full analysis chain")
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--target")
-    p.add_argument("--features", type=int, default=3)
-    p.add_argument("--exclude", help="comma-separated keys to exclude")
-    p.add_argument("--k", type=int, help="override the elbow-detected k")
-    p.add_argument("--k-range", default="1:10")
-    p.add_argument("--seed", type=int, default=0)
+    add_clustering(p)
     p.add_argument("--alpha", type=_alpha, default=0.05)
-    p.add_argument("--out", default="out")
     p.add_argument("--charts", action="store_true", help="emit SVG charts")
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 

@@ -115,7 +115,8 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray):
     Returns (centroids, 0-based labels, inertia, per-iteration inertia).
     A centroid is its members' per-feature sum, in row order, over their
     count; an empty cluster is re-seeded on the point currently farthest
-    from its centroid, which never increases the objective."""
+    from its centroid, which never increases the objective, or keeps its
+    centroid if that point is within `tol` of its own (a rounding residue)."""
     k = centroids.shape[0]
     history = []
     shift = np.inf
@@ -129,7 +130,7 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray):
         new_centroids = sums / np.maximum(counts, 1)[:, None]
         for c in np.flatnonzero(counts == 0):
             far = int(np.argmax(cost))
-            new_centroids[c] = X[far]
+            new_centroids[c] = X[far] if cost[far] > KMeansConfig.tol ** 2 else centroids[c]
             cost[far] = -1.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids

@@ -213,12 +213,12 @@ def aggregate_scores(table: HerdTable) -> list[ScoreSummary]:
 
 
 def describe(table: HerdTable, key) -> DescriptiveStats:
-    """Summary statistics for one column: sample std (n-1 denominator),
-    quantiles by linear interpolation between closest ranks."""
+    """Summary statistics for one column: sample std (n-1 denominator; 0.0
+    when min equals max), quantiles by linear interpolation."""
     x = table.column(key)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mean = float(np.mean(x))
-        std = 0.0 if x.size == 1 else float(np.std(x, ddof=1))
+        std = 0.0 if x.min() == x.max() else float(np.std(x, ddof=1))
     if not (math.isfinite(mean) and math.isfinite(std)):
         raise NumericalError(f"mean or std of column {key} overflowed")
     q25, q50, q75 = np.quantile(x, [0.25, 0.5, 0.75])  # linear interpolation

@@ -121,10 +121,9 @@ def correlation_csv(corr: CorrelationMatrix) -> str:
 
 
 def correlate(table: HerdTable) -> CorrelationMatrix:
-    """Pearson matrix over the table's non-constant columns (a column whose
-    std overflowed to NaN is kept, so that `pearson_r` reports it)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        keep = [k for k in table.keys if table.column(k).std() != 0.0]
+    """Pearson matrix over the columns whose min and max differ (an
+    overflowing column is kept, so that `correlation_matrix` names its pair)."""
+    keep = [k for k in table.keys if table.column(k).min() != table.column(k).max()]
     return correlation_matrix(table, keep)
 
 

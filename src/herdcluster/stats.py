@@ -9,8 +9,32 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import HerdTable, canonical_key
+from .dataset import HerdTable, canonical_key, describe
 from .errors import DegenerateInputError, NumericalError, ValidationError
+
+
+def _centred(x: np.ndarray):
+    """`x` less its mean, and the sum of squares of that; None when `x` is
+    constant (min equals max). Overflow is left as inf or NaN for `_r`."""
+    if x.min() == x.max():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in _r
+        xc = x - x.mean()
+        return xc, float(np.dot(xc, xc))
+
+
+def _r(a, b) -> float:
+    """Product-moment correlation of two `_centred` columns, clipped to
+    [-1, 1]. Finite sums of squares bound the sum of products."""
+    if a is None or b is None:
+        raise DegenerateInputError("constant input has no defined correlation")
+    (xc, sx), (yc, sy) = a, b
+    scale = math.sqrt(sx * sy)
+    if not math.isfinite(scale):
+        raise NumericalError("correlation overflowed: values too large")
+    if scale == 0.0:  # not constant, so the sums of squares underflowed
+        raise NumericalError("correlation underflowed: values too small")
+    return min(1.0, max(-1.0, float(np.dot(xc, yc)) / scale))
 
 
 def pearson_r(x, y) -> float:
@@ -23,19 +47,7 @@ def pearson_r(x, y) -> float:
         )
     if x.size < 2:
         raise ValidationError("need at least 2 observations")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        xc = x - x.mean()
-        yc = y - y.mean()
-        sx = float(np.dot(xc, xc))
-        sy = float(np.dot(yc, yc))
-        sxy = float(np.dot(xc, yc))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateInputError("constant input has no defined correlation")
-    scale = math.sqrt(sx * sy)
-    r = sxy / scale
-    if not (math.isfinite(scale) and math.isfinite(r)):
-        raise NumericalError("correlation overflowed: values too large")
-    return min(1.0, max(-1.0, r))
+    return _r(_centred(x), _centred(y))
 
 
 @dataclass(frozen=True)
@@ -50,23 +62,20 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(table: HerdTable, keys: Sequence[str] | None = None) -> CorrelationMatrix:
-    """Pairwise Pearson correlations; each pair is computed once so the
-    result is exactly symmetric."""
+    """Pairwise Pearson correlations; each column is centred once and each
+    pair computed once, so the result is exactly symmetric."""
     keys = tuple(table.keys if keys is None else (canonical_key(k) for k in keys))
-    cols = [table.column(k) for k in keys]
+    cols = [_centred(table.column(k)) for k in keys]
     n = len(keys)
     r = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
             try:
-                r[i, j] = r[j, i] = pearson_r(cols[i], cols[j])
+                r[i, j] = r[j, i] = _r(cols[i], cols[j])
             except (DegenerateInputError, NumericalError) as exc:
-                # pearson_r's overflow message already says what overflowed
-                what, cause = (("overflowed", "values too large") if isinstance(exc, NumericalError)
-                               else ("undefined", exc))
-                raise type(exc)(
-                    f"correlation {what} for pair ({keys[i]}, {keys[j]}): {cause}"
-                ) from None
+                what, cause = (str(exc).split(": ") if isinstance(exc, NumericalError)
+                               else ("correlation undefined", exc))
+                raise type(exc)(f"{what} for pair ({keys[i]}, {keys[j]}): {cause}") from None
     return CorrelationMatrix(keys, r)
 
 
@@ -126,22 +135,19 @@ class StandardizedMatrix:
 
 
 def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
-    """Standardize the selected columns to zero mean, unit sample std."""
+    """Standardize the selected columns to zero mean, unit sample std, with
+    each column's mean and std as `describe` reports them."""
     keys = tuple(canonical_key(k) for k in keys)
-    X = table.matrix(keys)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        means = X.mean(axis=0)
-        stds = X.std(axis=0, ddof=1)
-    bad = [k for k, m, s in zip(keys, means, stds) if not np.isfinite([m, s]).all()]
-    if bad:
-        raise NumericalError(f"mean or std is not finite in column(s): {', '.join(bad)}")
-    bad = [keys[i] for i in np.where(stds == 0.0)[0]]
+    described = [describe(table, k) for k in keys]
+    bad = [d.key for d in described if d.std == 0.0]
     if bad:
         raise DegenerateInputError(f"zero-variance column(s): {', '.join(bad)}")
+    means = np.array([d.mean for d in described])
+    stds = np.array([d.std for d in described])
     return StandardizedMatrix(
         keys=keys,
         animal_ids=table.animal_ids,
-        z=(X - means) / stds,
+        z=(table.matrix(keys) - means) / stds,
         means=means,
         stds=stds,
     )

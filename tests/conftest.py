@@ -26,6 +26,16 @@ def write_csv(path, header, rows):
     return path
 
 
+def write_tenth_column_csv(path):
+    """A 23-animal table whose column B is 0.1 for every animal: constant,
+    though numpy's std of it is a rounding residue of about 2.8e-17."""
+    rng = np.random.default_rng(23)
+    a = np.round(rng.normal(300.0, 30.0, 23), 1)
+    c = np.round(a / 10.0 + rng.normal(0.0, 2.0, 23), 2)
+    return write_csv(path, ["animal_id", "A", "B", "C"],
+                     [[f"a{i}", a[i], 0.1, c[i]] for i in range(23)])
+
+
 # a table whose best-of-10-restarts fits on A, B, C (seed 0) rise in
 # distortion from k = 6 to k = 7
 RISING_ELBOW_HEADER = ["animal_id", "BW", "A", "B", "C"]

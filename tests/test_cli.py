@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from herdcluster.cli import main
 
-from conftest import RISING_ELBOW_HEADER, RISING_ELBOW_ROWS, write_csv
+from conftest import RISING_ELBOW_HEADER, RISING_ELBOW_ROWS, write_csv, write_tenth_column_csv
 
 
 def make_blob_csv(tmp_path, seed=0, c=3, n=60):
@@ -111,6 +111,14 @@ class TestClusterCommand:
         assert main(["cluster", "--input", str(path), "--target", "BW",
                      "--k", "0", "--out", str(tmp_path / "out")]) == 2
         assert "k override 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_rounding_residue_column_is_not_a_feature(self, tmp_path, capsys):
+        # B is 0.1 in every row: constant, so only C is left to select
+        path = write_tenth_column_csv(tmp_path / "t.csv")
+        assert main(["cluster", "--input", str(path), "--target", "A",
+                     "--features", "2", "--k", "2", "--out", str(tmp_path / "out")]) == 2
+        assert "count 2 exceeds 1 candidate keys" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -392,6 +400,18 @@ class TestOverflowingColumn:
         assert "ANOVA" not in captured.out
 
 
+class TestUnderflowingPair:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_correlate(self, tmp_path, capsys):
+        # the product of the two sums of squares (about 1e-400) underflows to 0;
+        # this was a ZeroDivisionError traceback
+        path = write_csv(tmp_path / "tiny.csv", ["animal_id", "A", "B", "C"],
+                         [["a", 1e-100, 1e-100, 2], ["b", 2e-100, 3e-100, 1],
+                          ["c", 4e-100, 2e-100, 3]])
+        assert main(["correlate", "--input", str(path)]) == 3
+        assert "correlation underflowed for pair (A, B)" in capsys.readouterr().err
+
+
 class TestAlphaChecked:
     """--alpha outside (0, 1) exits 2 before any work, also where no
     Tukey test would run."""
@@ -410,7 +430,7 @@ class TestAlphaChecked:
                 "--target", "BW", "--out", str(tmp_path / "e.json")]
         assert main(argv) == 0
         assert "[degenerate]" in capsys.readouterr().out
-        for bad in ("7", "0", "1", "-0.1", "nan"):
+        for bad in ("7", "0", "1", "-0.1", "nan", "abc"):
             assert self._exit_code(argv + ["--alpha", bad]) == 2
             assert "alpha must be in (0, 1)" in capsys.readouterr().err
 

@@ -21,7 +21,9 @@ from herdcluster import (
     order_clusters,
     zscore,
 )
-from herdcluster.clustering import ElbowResult, KMeansModel, _lloyd, restart_seed
+from herdcluster.clustering import (
+    ElbowResult, KMeansModel, _init_kmeanspp, _lloyd, restart_seed,
+)
 from herdcluster.pipeline import write_model
 
 from conftest import RISING_ELBOW_HEADER, RISING_ELBOW_ROWS, write_csv
@@ -185,7 +187,7 @@ def reference_lloyd(X, centroids):
             cost = point_cost.copy()
             for c in np.where(counts == 0)[0]:
                 far = int(np.argmax(cost))
-                new_centroids[c] = X[far]
+                new_centroids[c] = X[far] if cost[far] > KMeansConfig.tol ** 2 else centroids[c]
                 cost[far] = -1.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
@@ -255,6 +257,17 @@ class TestLloydStep:
             for c in np.unique(labels):
                 np.testing.assert_allclose(centroids[c], X[labels == c].mean(axis=0),
                                            rtol=1e-12, atol=1e-12 * np.abs(X).max())
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", [6, 7])
+    def test_more_clusters_than_distinct_points_converge(self, k, d):
+        # 5 distinct points: re-seeding an empty cluster on a point whose
+        # cost is a rounding residue emptied another, so every restart cycled
+        X = np.tile(np.repeat([0.1, 0.2, 0.3, 0.4, 0.5], 7)[:, None], (1, d))
+        for r in range(10):
+            start = _init_kmeanspp(X, k, np.random.default_rng(restart_seed(0, r)))
+            history = _lloyd(X, start)[3]
+            assert len(history) <= KMeansConfig.max_iter  # stopped before the cap
 
 
 class TestOrderClusters:

@@ -4,7 +4,7 @@ import pytest
 import herdcluster
 from herdcluster import (
     KMeansConfig, PipelineConfig, ValidationError, data, kmeans_fit, load_table,
-    order_clusters, zscore,
+    order_clusters, run_pipeline, zscore,
 )
 from herdcluster import pipeline
 from herdcluster.pipeline import (
@@ -96,6 +96,22 @@ def test_evaluate_skips_tukey_only_when_anova_is_degenerate():
     assert list(full) == ["anova", "tukey"] and full["tukey"].alpha == 0.05
     flat = evaluate([1, 1, 5, 5], [1, 1, 2, 2], 0.05)
     assert list(flat) == ["anova"] and flat["anova"].degenerate
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(name="dorsum"), dict(name="structure", k_range=(2, 8), seed=5),
+    dict(name="structure", target="SS", exclude=(), feature_count=1),
+])
+def test_report_scales_by_the_described_moments(cfg, tmp_path):
+    """The model's means and stds are the descriptive statistics' own."""
+    cfg = PipelineConfig.from_preset(input_path=data.synthetic_path(),
+                                     output_dir=tmp_path, **cfg)
+    doc = run_pipeline(cfg).document
+    described = {row["key"]: row for row in doc["descriptive_stats"]}
+    model = doc["model"]
+    assert model["keys"] == doc["selection"]["selected"]
+    for key, mean, std in zip(model["keys"], model["means"], model["stds"]):
+        assert (mean, std) == (described[key]["mean"], described[key]["std"])
 
 
 @pytest.mark.parametrize("alpha", [7, 0, 1, -0.1, float("nan")])

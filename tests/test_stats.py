@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,17 +8,40 @@ from hypothesis import strategies as st
 
 from herdcluster import (
     DegenerateInputError,
+    HerdTable,
     NumericalError,
     ValidationError,
     correlation_matrix,
+    describe,
     load_table,
     pearson_r,
     select_features,
     zscore,
 )
-from herdcluster.pipeline import correlation_csv, json_text
+from herdcluster.pipeline import correlate, correlation_csv, json_text
 
-from conftest import write_csv
+from conftest import write_csv, write_tenth_column_csv
+
+
+def reference_pearson_r(x, y):
+    """`pearson_r` as it was before `correlation_matrix` centred each column
+    once, kept as a test-only reference: both columns centred per call, a
+    zero sum of squares taken as a constant column."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sx = float(np.dot(xc, xc))
+        sy = float(np.dot(yc, yc))
+        sxy = float(np.dot(xc, yc))
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateInputError("constant input has no defined correlation")
+    scale = math.sqrt(sx * sy)
+    r = sxy / scale
+    if not (math.isfinite(scale) and math.isfinite(r)):
+        raise NumericalError("correlation overflowed: values too large")
+    return min(1.0, max(-1.0, r))
 
 
 def table_from_columns(tmp_path, columns):
@@ -61,6 +85,11 @@ class TestPearsonR:
     def test_constant_input(self):
         with pytest.raises(DegenerateInputError):
             pearson_r([1, 1, 1], [1, 2, 3])
+
+    def test_underflowing_sums_of_squares_raise(self):
+        # the product of the two sums of squares underflows to 0
+        with pytest.raises(NumericalError, match="underflowed"):
+            pearson_r([1e-100, 2e-100, 4e-100], [1e-100, 3e-100, 2e-100])
 
     @given(
         st.integers(min_value=0, max_value=2**32),
@@ -121,6 +150,46 @@ class TestCorrelationMatrix:
         t = table_from_columns(tmp_path, {"A": [1, 2, 3], "B": [4, 4, 4]})
         with pytest.raises(DegenerateInputError, match=r"\(A, B\)"):
             correlation_matrix(t)
+
+    def test_underflow_names_pair(self, tmp_path):
+        t = table_from_columns(tmp_path, {"A": [1, 2, 4], "B": [1e-200, 3e-200, 2e-200]})
+        with pytest.raises(NumericalError,
+                           match=r"^correlation underflowed for pair \(A, B\): values too small$"):
+            correlation_matrix(t)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([None, 0, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_pearson_r(self, seed, decimals):
+        """Each pair's r has the reference's bytes; the first pair (in
+        matrix order) with a constant column, or on which the reference
+        raises, is named in the error instead."""
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(2, 40)), int(rng.integers(2, 7))
+        Z = rng.normal(size=(n, p))
+        if decimals is not None:  # ties, and sums that are exact
+            Z = np.round(10.0 * Z, decimals)
+        scales = rng.choice([1e-3, 1.0, 1e3, 1e150, 1e155], size=p,
+                            p=[0.3, 0.3, 0.3, 0.05, 0.05])
+        X = Z * scales + rng.choice([0.0, 1.0, 1e6], size=p) * scales
+        constant = rng.random(p) < 0.1
+        X[:, constant] = X[0, constant]
+        keys = [f"K{j}" for j in range(p)]
+        t = HerdTable(tuple(f"a{i}" for i in range(n)),
+                      {k: X[:, j] for j, k in enumerate(keys)}, {})
+        want = np.eye(p)
+        for i in range(p):
+            for j in range(i + 1, p):
+                x, y = t.column(keys[i]), t.column(keys[j])
+                try:
+                    if x.min() == x.max() or y.min() == y.max():
+                        raise DegenerateInputError("constant column")
+                    want[i, j] = want[j, i] = reference_pearson_r(x, y)
+                except (DegenerateInputError, NumericalError) as exc:
+                    with pytest.raises(type(exc), match=rf"pair \({keys[i]}, {keys[j]}\)"):
+                        correlation_matrix(t)
+                    return
+        assert correlation_matrix(t).r.tobytes() == want.tobytes()
 
     def test_csv_and_json_export(self, synthetic_table):
         m = correlation_matrix(synthetic_table, ["BW", "DA", "CW"])
@@ -192,7 +261,7 @@ class TestZScore:
     def test_overflowing_moments_raise(self, tmp_path):
         t = table_from_columns(tmp_path, {"A": [1, 2, 3, 4],
                                           "X": [1e308, 1e308, -1e308, 1]})
-        with pytest.raises(NumericalError, match=r"not finite in column\(s\): X$"):
+        with pytest.raises(NumericalError, match=r"mean or std of column X overflowed$"):
             zscore(t, ["A", "X"])
 
     def test_simple_column(self, tmp_path):
@@ -216,6 +285,30 @@ class TestZScore:
         t = table_from_columns(tmp_path, {"A": [1, 2, 3], "B": [7, 7, 7]})
         with pytest.raises(DegenerateInputError, match="B"):
             zscore(t, ["A", "B"])
+
+
+class TestRoundingResidueColumn:
+    """A column of 0.1 in every row is constant, although numpy's std of
+    it is a rounding residue: every statistic treats it as constant."""
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        return load_table(write_tenth_column_csv(tmp_path / "t.csv"))
+
+    def test_describe_gives_zero_std(self, table):
+        assert np.std(table.column("B"), ddof=1) > 0.0
+        assert describe(table, "B").std == 0.0
+
+    def test_correlate_drops_it(self, table):
+        assert correlate(table).keys == ("A", "C")
+
+    def test_pearson_r_raises(self, table):
+        with pytest.raises(DegenerateInputError, match="constant"):
+            pearson_r(table.column("A"), table.column("B"))
+
+    def test_zscore_raises(self, table):
+        with pytest.raises(DegenerateInputError, match="zero-variance column.*: B$"):
+            zscore(table, ["A", "B"])
 
 
 class TestLabelCorrelation:
