@@ -1,6 +1,7 @@
-"""Lloyd's k-means with deterministic seeded restarts, elbow-based k
-selection and centroid-sorted cluster numbering (labels run 1..k, cluster 1
-having the lowest first-centroid coordinate)."""
+"""Lloyd's k-means with deterministic seeded restarts, all run in one
+batched loop and reported per restart; elbow-based k selection and
+centroid-sorted cluster numbering (labels run 1..k, cluster 1 having the
+lowest first-centroid coordinate)."""
 
 from __future__ import annotations
 
@@ -83,76 +84,105 @@ def _as_points(z) -> np.ndarray:
     return X
 
 
+def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(R, n, k) squared distances from the points to R runs' (R, k, d)
+    centroids, summed a feature at a time in numpy's `.sum(axis=-1)` order
+    (sequential below 8 features; to 128, eight strided lanes added as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the tail; above, halves split at a
+    multiple of 8): the same bytes, without its (n, k, d) temporary."""
+
+    def term(j):
+        return (X[:, j, None] - centroids[:, None, :, j]) ** 2
+
+    def add(acc, features):
+        for j in features:
+            acc += term(j)
+        return acc
+
+    def lanes(lo, width, step, stop):
+        if width == 1:
+            return add(term(lo), range(lo + step, stop, step))
+        return lanes(lo, width // 2, step, stop) + lanes(lo + width // 2, width // 2, step, stop)
+
+    def block(lo, m):
+        if m > 128:
+            half = m // 2 - m // 2 % 8
+            return block(lo, half) + block(lo + half, m - half)
+        width = 8 if m >= 8 else 1
+        stop = lo + m - m % width
+        return add(lanes(lo, width, width, stop), range(stop, lo + m))
+
+    return block(0, X.shape[1])
+
+
 def _nearest(X: np.ndarray, centroids: np.ndarray):
-    """Each point's squared distance to its nearest centroid, and that
-    centroid's index (ties go to the lowest index, argmin's behaviour)."""
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    return d2[np.arange(X.shape[0]), labels], labels
+    """Per run, each point's squared distance to its nearest centroid and
+    that centroid's index (ties go to the lowest index, argmin's behaviour)."""
+    d2 = _sq_dists(X, centroids)
+    return d2.min(axis=2), d2.argmin(axis=2)
 
 
-def _init_kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _init_kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ starts, (R, k, d): run r draws from `rngs[r]` as a lone run would."""
     n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]))
-    centroids[0] = X[rng.integers(n)]
-    closest = ((X - centroids[0]) ** 2).sum(axis=1)
+    centroids = np.empty((len(rngs), k, X.shape[1]))
+    centroids[:, 0] = X[[rng.integers(n) for rng in rngs]]
+    closest = _sq_dists(X, centroids[:, :1])[..., 0]
     for c in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            # all remaining points coincide with a chosen centroid
-            centroids[c] = X[rng.integers(n)]
-            continue
-        idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total))
-        idx = min(idx, n - 1)
-        centroids[c] = X[idx]
-        closest = np.minimum(closest, ((X - centroids[c]) ** 2).sum(axis=1))
+        total = closest.sum(axis=1)
+        idx = [rng.integers(n) if t <= 0.0  # every point on a chosen centroid
+               else min(np.count_nonzero(cum < rng.random() * t), n - 1)
+               for rng, t, cum in zip(rngs, total, np.cumsum(closest, axis=1))]
+        centroids[:, c] = X[idx]
+        closest = np.minimum(closest, _sq_dists(X, centroids[:, c:c + 1])[..., 0])
     return centroids
 
 
-def _lloyd(X: np.ndarray, centroids: np.ndarray):
-    """One Lloyd run from the given initial centroids.
-
-    Returns (centroids, 0-based labels, inertia, per-iteration inertia).
-    A centroid is its members' per-feature sum, in row order, over their
-    count; an empty cluster is re-seeded on the point currently farthest
-    from its centroid, which never increases the objective, or keeps its
-    centroid if that point is within `tol` of its own (a rounding residue)."""
-    k = centroids.shape[0]
-    history = []
-    shift = np.inf
+def _lloyd(X: np.ndarray, starts: np.ndarray) -> list:
+    """Lloyd runs from the (R, k, d) `starts`, one loop over the runs still
+    going; per run (centroids, 0-based labels, inertia, per-iteration
+    inertia). A centroid is its members' per-feature sum, in row order, over
+    their count; an empty cluster moves to the point farthest from its
+    centroid (never raising the objective), or stays if that point is within
+    `tol` of its own centroid (a rounding residue)."""
+    (R, k, d), n = starts.shape, X.shape[0]
+    columns = np.tile(X.T, R)  # each feature's column once per run
+    fits, histories = [None] * R, [[] for _ in range(R)]
+    running, centroids, shift = np.arange(R), starts, np.full(R, np.inf)
     for it in range(KMeansConfig.max_iter + 1):
         cost, labels = _nearest(X, centroids)
-        history.append(float(cost.sum()))
-        if it == KMeansConfig.max_iter or shift <= KMeansConfig.tol:
-            break
-        counts = np.bincount(labels, minlength=k)
-        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in X.T], axis=1)
-        new_centroids = sums / np.maximum(counts, 1)[:, None]
-        for c in np.flatnonzero(counts == 0):
-            far = int(np.argmax(cost))
-            new_centroids[c] = X[far] if cost[far] > KMeansConfig.tol ** 2 else centroids[c]
-            cost[far] = -1.0
-        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        for r, inertia in zip(running, cost.sum(axis=1).tolist()):
+            histories[r].append(inertia)
+        stop = (shift <= KMeansConfig.tol) | (it == KMeansConfig.max_iter)
+        for i, r in zip(np.flatnonzero(stop), running[stop]):
+            fits[r] = (centroids[i], labels[i], histories[r][-1], histories[r])
+        if stop.all():
+            return fits
+        if stop.any():
+            running, centroids, cost, labels = (a[~stop] for a in (running, centroids, cost, labels))
+        m = len(running)
+        bins = (labels + k * np.arange(m)[:, None]).ravel()  # run i's clusters: i*k, i*k+1, ..
+        counts = np.bincount(bins, minlength=m * k).reshape(m, k)
+        sums = np.stack([np.bincount(bins, weights=col[:m * n], minlength=m * k)
+                         for col in columns], axis=1)
+        new_centroids = sums.reshape(m, k, d) / np.maximum(counts, 1)[..., None]
+        for i, c in zip(*np.nonzero(counts == 0)):
+            far = int(np.argmax(cost[i]))
+            new_centroids[i, c] = X[far] if cost[i, far] > KMeansConfig.tol ** 2 else centroids[i, c]
+            cost[i, far] = -1.0
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=2)).max(axis=1)
         centroids = new_centroids
-    return centroids, labels, history[-1], history
 
 
 def kmeans_fit(z, cfg: KMeansConfig) -> KMeansModel:
     """Best-of-restarts Lloyd fit; deterministic for a given (data, config,
     seed). Lowest inertia wins, ties by lowest restart index."""
     X = _as_points(z)
-    n = X.shape[0]
-    if cfg.k > n:
-        raise ValidationError(f"k={cfg.k} exceeds number of points n={n}")
-
-    best = None
-    for r in range(cfg.n_restarts):
-        rng = np.random.default_rng(restart_seed(cfg.seed, r))
-        result = _lloyd(X, _init_kmeanspp(X, cfg.k, rng))
-        if best is None or result[2] < best[2]:
-            best = result
-
-    return _model(cfg, *best)
+    if cfg.k > len(X):
+        raise ValidationError(f"k={cfg.k} exceeds number of points n={len(X)}")
+    rngs = [np.random.default_rng(restart_seed(cfg.seed, r)) for r in range(cfg.n_restarts)]
+    fits = _lloyd(X, _init_kmeanspp(X, cfg.k, rngs))
+    return _model(cfg, *min(fits, key=lambda fit: fit[2]))
 
 
 def _model(cfg: KMeansConfig, centroids, labels, inertia, history) -> KMeansModel:
@@ -199,8 +229,8 @@ def assign(model: KMeansModel, new_points) -> np.ndarray:
             f"dimension mismatch: points have {X.shape[1]} features, "
             f"model has {model.centroids.shape[1]}"
         )
-    _, labels = _nearest(X, model.centroids)
-    return labels + 1
+    _, labels = _nearest(X, model.centroids[None])
+    return labels[0] + 1
 
 
 def _rises(prev: float, cur: float) -> bool:
@@ -282,9 +312,9 @@ def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
             # centroids by the point farthest from them, which Lloyd can
             # only improve on
             prev = models[-1].centroids
-            far = int(np.argmax(_nearest(X, prev)[0]))
+            far = int(np.argmax(_nearest(X, prev[None])[0]))
             start = np.vstack([prev, X[far]])
-            model = _model(model.config, *_lloyd(X, start))
+            model = _model(model.config, *_lloyd(X, start[None])[0])
         models.append(model)
     distortions = [m.inertia for m in models]
     knee = detect_knee(k_values, distortions) if len(k_values) >= 3 else None

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from herdcluster import (
@@ -22,7 +22,7 @@ from herdcluster import (
     zscore,
 )
 from herdcluster.clustering import (
-    ElbowResult, KMeansModel, _init_kmeanspp, _lloyd, restart_seed,
+    ElbowResult, KMeansModel, _init_kmeanspp, _lloyd, _sq_dists, restart_seed,
 )
 from herdcluster.pipeline import write_model
 
@@ -235,7 +235,7 @@ class TestLloydStep:
         X, start = lloyd_case(seed, d, decimals, duplicate)
         with mock.patch.object(KMeansConfig, "max_iter", cap):
             want = reference_lloyd(X, start.copy())
-            got = _lloyd(X, start.copy())
+            (got,) = _lloyd(X, start[None].copy())
         assert got[0].tobytes() == want[0].tobytes()
         np.testing.assert_array_equal(got[1], want[1])
         assert got[2] == want[2] == got[3][-1]
@@ -247,7 +247,7 @@ class TestLloydStep:
     def test_one_feature_keeps_lloyd_invariants(self, seed, decimals, duplicate, cap):
         X, start = lloyd_case(seed, 1, decimals, duplicate)
         with mock.patch.object(KMeansConfig, "max_iter", cap):
-            centroids, labels, inertia, history = _lloyd(X, start.copy())
+            ((centroids, labels, inertia, history),) = _lloyd(X, start[None].copy())
         slack = 1e-12 * (X * X).sum()  # rounding: capped repair cycles rise by ~1e-33
         assert all(b <= a + slack for a, b in zip(history, history[1:]))
         d2 = (X - centroids.T) ** 2
@@ -264,10 +264,163 @@ class TestLloydStep:
         # 5 distinct points: re-seeding an empty cluster on a point whose
         # cost is a rounding residue emptied another, so every restart cycled
         X = np.tile(np.repeat([0.1, 0.2, 0.3, 0.4, 0.5], 7)[:, None], (1, d))
-        for r in range(10):
-            start = _init_kmeanspp(X, k, np.random.default_rng(restart_seed(0, r)))
-            history = _lloyd(X, start)[3]
+        rngs = [np.random.default_rng(restart_seed(0, r)) for r in range(10)]
+        for _, _, _, history in _lloyd(X, _init_kmeanspp(X, k, rngs)):
             assert len(history) <= KMeansConfig.max_iter  # stopped before the cap
+
+
+def per_restart_nearest(X, centroids):
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    return d2[np.arange(X.shape[0]), labels], labels
+
+
+def per_restart_kmeanspp(X, k, rng):
+    """k-means++ for one restart, as it ran before restarts were batched."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    closest = ((X - centroids[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            centroids[c] = X[rng.integers(n)]
+            continue
+        idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total))
+        idx = min(idx, n - 1)
+        centroids[c] = X[idx]
+        closest = np.minimum(closest, ((X - centroids[c]) ** 2).sum(axis=1))
+    return centroids
+
+
+def per_restart_lloyd(X, centroids):
+    """The Lloyd loop for one restart, as it ran before restarts were
+    batched: (centroids, 0-based labels, inertia, per-iteration inertia)."""
+    k = centroids.shape[0]
+    history = []
+    shift = np.inf
+    for it in range(KMeansConfig.max_iter + 1):
+        cost, labels = per_restart_nearest(X, centroids)
+        history.append(float(cost.sum()))
+        if it == KMeansConfig.max_iter or shift <= KMeansConfig.tol:
+            break
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in X.T], axis=1)
+        new_centroids = sums / np.maximum(counts, 1)[:, None]
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(cost))
+            new_centroids[c] = X[far] if cost[far] > KMeansConfig.tol ** 2 else centroids[c]
+            cost[far] = -1.0
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+    return centroids, labels, history[-1], history
+
+
+@st.composite
+def batched_case(draw):
+    """Points and R starts: n up to 2,000 (several of numpy's 128-wide
+    pairwise blocks in each inertia), d 1..12, k 1..10, R 1..10; inputs
+    optionally rounded (ties) and one start optionally holding a duplicated
+    centroid (an empty cluster in the first update)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(2, 400), st.integers(401, 2000)))
+    d, n_runs = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(n, 10)))
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        X = np.round(X, decimals)
+    starts = np.stack([X[rng.choice(n, size=k, replace=False)] for _ in range(n_runs)])
+    if draw(st.booleans()) and k > 1:
+        starts[-1, -1] = starts[-1, 0]
+    return X, starts
+
+
+def assert_same_fit(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+    assert np.array(got[3]).tobytes() == np.array(want[3]).tobytes()
+
+
+class TestBatchedLloyd:
+    """The batched loop, k-means++ and distance kernel against the
+    per-restart code they replaced, bit for bit and restart by restart."""
+
+    @given(case=batched_case(), cap=st.sampled_from([KMeansConfig.max_iter, 1, 3]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_restart_lloyd(self, case, cap):
+        X, starts = case
+        with mock.patch.object(KMeansConfig, "max_iter", cap):
+            got = _lloyd(X, starts.copy())
+            assert len(got) == len(starts)
+            for fit, start in zip(got, starts):
+                assert_same_fit(fit, per_restart_lloyd(X, start.copy()))
+
+    def test_runs_stop_at_different_iterations(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(300, 3))
+        starts = np.stack([X[rng.choice(300, size=6, replace=False)] for _ in range(10)])
+        got = _lloyd(X, starts.copy())
+        assert len({len(fit[3]) for fit in got}) > 3
+        for fit, start in zip(got, starts):
+            assert_same_fit(fit, per_restart_lloyd(X, start.copy()))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 12),
+           distinct=st.sampled_from([1, 2, 3, None]), n_runs=st.integers(1, 10),
+           k=st.integers(1, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_kmeanspp_matches_per_restart(self, seed, n, d, distinct, n_runs, k):
+        # `distinct` points repeated over the table: once k exceeds them,
+        # the remaining draws take the `total <= 0` branch
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        X = rng.normal(size=(n if distinct is None else distinct, d))
+        X = X[rng.integers(len(X), size=n)] if distinct is not None else X
+        seeds = [restart_seed(seed, r) for r in range(n_runs)]
+        got = _init_kmeanspp(X, k, [np.random.default_rng(s) for s in seeds])
+        want = np.stack([per_restart_kmeanspp(X, k, np.random.default_rng(s)) for s in seeds])
+        assert got.tobytes() == want.tobytes()
+
+    def test_kmeanspp_all_coincident_draws_uniformly(self):
+        class Draws:
+            """A generator that records which kind of draw each call makes."""
+
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), []
+
+            def integers(self, n):
+                self.calls.append("integers")
+                return self.rng.integers(n)
+
+            def random(self):
+                self.calls.append("random")
+                return self.rng.random()
+
+        X = np.repeat([[1.0, 2.0], [1.0, 2.0], [3.0, 0.5]], 3, axis=0)
+        rngs = [Draws(s) for s in range(4)]
+        got = _init_kmeanspp(X, 4, rngs)
+        # the second centre is drawn in proportion; the other two points
+        # coincide with a chosen centre, so the last two draws are uniform
+        assert all(rng.calls == ["integers", "random", "integers", "integers"] for rng in rngs)
+        want = np.stack([per_restart_kmeanspp(X, 4, np.random.default_rng(s)) for s in range(4)])
+        assert got.tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 300), n=st.integers(1, 20),
+           k=st.integers(1, 6), n_runs=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    @example(seed=0, d=7, n=5, k=3, n_runs=2)
+    @example(seed=0, d=8, n=5, k=3, n_runs=2)
+    @example(seed=0, d=9, n=5, k=3, n_runs=2)
+    @example(seed=0, d=128, n=5, k=3, n_runs=2)
+    @example(seed=0, d=129, n=5, k=3, n_runs=2)
+    @example(seed=0, d=300, n=5, k=3, n_runs=2)
+    def test_kernel_sums_features_as_numpy_does(self, seed, d, n, k, n_runs):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
+        C = rng.normal(size=(n_runs, k, d))
+        want = np.stack([((X[:, None] - c[None]) ** 2).sum(axis=2) for c in C])
+        assert _sq_dists(X, C).tobytes() == want.tobytes()
 
 
 class TestOrderClusters:
