@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .clustering import ElbowResult, KMeansModel
+from .dataset import scaled
 from .errors import ValidationError
 
 _PALETTE = (
@@ -163,11 +164,13 @@ def emit_scatter_svg(model: KMeansModel, z, path) -> None:
 
 def emit_boxplot_svg(values, labels, value_name: str, path) -> None:
     """One box per cluster in label order; whiskers reach the farthest
-    point within 1.5 IQR of the box, points beyond drawn as outliers."""
+    point within 1.5 IQR of the box, points beyond drawn as outliers. Pixel
+    positions are scale-free: they are taken on `scaled` values, whose spans are finite."""
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if values.shape != labels.shape:
         raise ValidationError("values and labels disagree in length")
+    values = scaled(values)[0]
     clusters = sorted(int(c) for c in np.unique(labels))
 
     sy = _Scale(float(values.min()), float(values.max()), _H - _MARGIN, _MARGIN)

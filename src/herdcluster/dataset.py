@@ -212,16 +212,36 @@ def aggregate_scores(table: HerdTable) -> list[ScoreSummary]:
     ]
 
 
+def scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`x` times 2^-e, where e is the frexp exponent of its largest
+    magnitude (per column of a 2-d `x`), and e. Moments of the scaled
+    values neither overflow nor underflow, and scaling by a power of two
+    is exact for normal doubles, so taken back by `unscaled` they are
+    those of `x` (Blue, ACM TOMS 4(1), 1978, scales a norm likewise)."""
+    e = np.frexp(np.max(np.abs(x), axis=0))[1]
+    return np.ldexp(x, -e), e
+
+
+def unscaled(v: float, e, what: str) -> float:
+    """`v` times 2^e, the value a scaled moment reports; NumericalError
+    when that leaves the double range."""
+    try:
+        return math.ldexp(v, int(e))
+    except OverflowError:
+        raise NumericalError(f"{what} overflowed") from None
+
+
 def describe(table: HerdTable, key) -> DescriptiveStats:
     """Summary statistics for one column: sample std (n-1 denominator; 0.0
     when min equals max), quantiles by linear interpolation."""
     x = table.column(key)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        mean = float(np.mean(x))
-        std = 0.0 if x.min() == x.max() else float(np.std(x, ddof=1))
-    if not (math.isfinite(mean) and math.isfinite(std)):
-        raise NumericalError(f"mean or std of column {key} overflowed")
-    q25, q50, q75 = np.quantile(x, [0.25, 0.5, 0.75])  # linear interpolation
+    xs, e = scaled(x)
+    mean = unscaled(np.mean(xs), e, f"mean of column {key}")
+    std = 0.0 if x.min() == x.max() else unscaled(np.std(xs, ddof=1), e, f"std of column {key}")
+    # numpy interpolates as a + t(b - a), and b - a overflows only once max |x|
+    # reaches 2^1023; halving such a column is exact for its normal values
+    half = max(0, e - 1023)
+    q25, q50, q75 = np.ldexp(np.quantile(np.ldexp(x, -half), [0.25, 0.5, 0.75]), half)
     return DescriptiveStats(
         key=canonical_key(key),
         mean=mean,

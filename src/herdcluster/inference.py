@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import scaled, unscaled
 from .errors import DegenerateInputError, NumericalError, ValidationError
 
 
@@ -280,6 +281,8 @@ class TukeyResult:
 
 
 def _grouped(values, labels):
+    """`scaled` values and their exponent, the group ids and each group's
+    scaled values: F and q are scale-free, and these sums of squares finite."""
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if values.shape != labels.shape or values.ndim != 1:
@@ -289,22 +292,19 @@ def _grouped(values, labels):
     group_ids = np.unique(labels)
     if group_ids.size < 2:
         raise ValidationError("need at least 2 groups")
-    groups = [values[labels == g] for g in group_ids]
     if values.size <= group_ids.size:
         raise ValidationError("need more observations than groups")
-    return values, [int(g) for g in group_ids], groups
+    values, e = scaled(values)
+    return values, e, [int(g) for g in group_ids], [values[labels == g] for g in group_ids]
 
 
 def _sums_of_squares(values, groups):
     """Grand mean and the between-group, within-group and total sums of
-    squares; NumericalError when any of them overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        grand = float(values.mean())
-        ss_between = float(sum(g.size * (g.mean() - grand) ** 2 for g in groups))
-        ss_within = float(sum(((g - g.mean()) ** 2).sum() for g in groups))
-        ss_total = float(((values - grand) ** 2).sum())
-    if not all(map(math.isfinite, (grand, ss_between, ss_within, ss_total))):
-        raise NumericalError("sums of squares overflowed: values too large")
+    squares."""
+    grand = float(values.mean())
+    ss_between = float(sum(g.size * (g.mean() - grand) ** 2 for g in groups))
+    ss_within = float(sum(((g - g.mean()) ** 2).sum() for g in groups))
+    ss_total = float(((values - grand) ** 2).sum())
     return grand, ss_between, ss_within, ss_total
 
 
@@ -312,18 +312,18 @@ def one_way_anova(values, labels) -> AnovaResult:
     """F test for equality of group means; groups are the distinct label
     values. Zero within-group variance yields a flagged degenerate result
     rather than an infinite statistic."""
-    values, group_ids, groups = _grouped(values, labels)
+    values, e, group_ids, groups = _grouped(values, labels)
     k, n = len(groups), values.size
     grand, ss_between, ss_within, ss_total = _sums_of_squares(values, groups)
+    grand = unscaled(grand, e, "grand mean")
     df_b, df_w = k - 1, n - k
-    means = tuple(float(g.mean()) for g in groups)
+    means = tuple(unscaled(g.mean(), e, "group mean") for g in groups)
 
-    scale = max(1.0, ss_total)
-    if ss_within <= 1e-14 * scale:
+    if ss_within <= 1e-14 * ss_total:
         return AnovaResult(
-            f_stat=0.0 if ss_between <= 1e-14 * scale else math.inf,
+            f_stat=0.0 if ss_between <= 1e-14 * ss_total else math.inf,
             df_between=df_b, df_within=df_w,
-            p_value=1.0 if ss_between <= 1e-14 * scale else 0.0,
+            p_value=1.0 if ss_between <= 1e-14 * ss_total else 0.0,
             group_means=means, grand_mean=grand, degenerate=True,
         )
 
@@ -343,13 +343,14 @@ def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
     correction; unequal group sizes use the Tukey-Kramer standard error."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    values, group_ids, groups = _grouped(values, labels)
+    values, e, group_ids, groups = _grouped(values, labels)
     k, n = len(groups), values.size
     ss_within = _sums_of_squares(values, groups)[2]
     df_w = n - k
     if ss_within <= 0.0:
         raise DegenerateInputError("zero within-group variance")
     ms_within = ss_within / df_w
+    reported_ms = unscaled(ms_within, 2 * e, "within-group mean square")
 
     pairs = []
     for i in range(k):
@@ -362,8 +363,8 @@ def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
             pairs.append(
                 TukeyPair(
                     group_a=group_ids[i], group_b=group_ids[j],
-                    mean_diff=diff, q_stat=q, p_adj=p_adj,
-                    reject_at_alpha=p_adj < alpha,
+                    mean_diff=unscaled(diff, e, "mean difference"), q_stat=q,
+                    p_adj=p_adj, reject_at_alpha=p_adj < alpha,
                 )
             )
-    return TukeyResult(tuple(pairs), alpha=alpha, df_within=df_w, ms_within=ms_within)
+    return TukeyResult(tuple(pairs), alpha=alpha, df_within=df_w, ms_within=reported_ms)

@@ -121,8 +121,7 @@ def correlation_csv(corr: CorrelationMatrix) -> str:
 
 
 def correlate(table: HerdTable) -> CorrelationMatrix:
-    """Pearson matrix over the columns whose min and max differ (an
-    overflowing column is kept, so that `correlation_matrix` names its pair)."""
+    """Pearson matrix over the columns whose min and max differ."""
     keep = [k for k in table.keys if table.column(k).min() != table.column(k).max()]
     return correlation_matrix(table, keep)
 

@@ -9,32 +9,27 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import HerdTable, canonical_key, describe
-from .errors import DegenerateInputError, NumericalError, ValidationError
+from .dataset import HerdTable, canonical_key, describe, scaled
+from .errors import DegenerateInputError, ValidationError
 
 
 def _centred(x: np.ndarray):
-    """`x` less its mean, and the sum of squares of that; None when `x` is
-    constant (min equals max). Overflow is left as inf or NaN for `_r`."""
+    """`scaled(x)` less its mean, and the sum of squares of that (r is
+    scale-free); None when `x` is constant (min equals max)."""
     if x.min() == x.max():
         return None
-    with np.errstate(over="ignore", invalid="ignore"):  # checked in _r
-        xc = x - x.mean()
-        return xc, float(np.dot(xc, xc))
+    xc = scaled(x)[0]
+    xc -= xc.mean()
+    return xc, float(np.dot(xc, xc))
 
 
 def _r(a, b) -> float:
     """Product-moment correlation of two `_centred` columns, clipped to
-    [-1, 1]. Finite sums of squares bound the sum of products."""
+    [-1, 1]."""
     if a is None or b is None:
         raise DegenerateInputError("constant input has no defined correlation")
     (xc, sx), (yc, sy) = a, b
-    scale = math.sqrt(sx * sy)
-    if not math.isfinite(scale):
-        raise NumericalError("correlation overflowed: values too large")
-    if scale == 0.0:  # not constant, so the sums of squares underflowed
-        raise NumericalError("correlation underflowed: values too small")
-    return min(1.0, max(-1.0, float(np.dot(xc, yc)) / scale))
+    return min(1.0, max(-1.0, float(np.dot(xc, yc)) / math.sqrt(sx * sy)))
 
 
 def pearson_r(x, y) -> float:
@@ -72,10 +67,10 @@ def correlation_matrix(table: HerdTable, keys: Sequence[str] | None = None) -> C
         for j in range(i + 1, n):
             try:
                 r[i, j] = r[j, i] = _r(cols[i], cols[j])
-            except (DegenerateInputError, NumericalError) as exc:
-                what, cause = (str(exc).split(": ") if isinstance(exc, NumericalError)
-                               else ("correlation undefined", exc))
-                raise type(exc)(f"{what} for pair ({keys[i]}, {keys[j]}): {cause}") from None
+            except DegenerateInputError as exc:
+                raise DegenerateInputError(
+                    f"correlation undefined for pair ({keys[i]}, {keys[j]}): {exc}"
+                ) from None
     return CorrelationMatrix(keys, r)
 
 
@@ -136,7 +131,8 @@ class StandardizedMatrix:
 
 def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
     """Standardize the selected columns to zero mean, unit sample std, with
-    each column's mean and std as `describe` reports them."""
+    each column's mean and std as `describe` reports them, taken on the
+    `scaled` columns, where no z-score overflows."""
     keys = tuple(canonical_key(k) for k in keys)
     described = [describe(table, k) for k in keys]
     bad = [d.key for d in described if d.std == 0.0]
@@ -144,10 +140,11 @@ def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
         raise DegenerateInputError(f"zero-variance column(s): {', '.join(bad)}")
     means = np.array([d.mean for d in described])
     stds = np.array([d.std for d in described])
+    xs, e = scaled(table.matrix(keys))
     return StandardizedMatrix(
         keys=keys,
         animal_ids=table.animal_ids,
-        z=(table.matrix(keys) - means) / stds,
+        z=(xs - np.ldexp(means, -e)) / np.ldexp(stds, -e),
         means=means,
         stds=stds,
     )

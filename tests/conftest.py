@@ -1,7 +1,29 @@
+import mpmath
 import numpy as np
 import pytest
 
 from herdcluster import data, load_table
+
+
+def mp_mean_std(x):
+    """Mean and sample std of `x` in 40-digit arithmetic, rounded to doubles."""
+    with mpmath.workdps(40):
+        v = [mpmath.mpf(float(a)) for a in x]
+        mean = mpmath.fsum(v) / len(v)
+        var = mpmath.fsum((a - mean) ** 2 for a in v) / (len(v) - 1)
+        return float(mean), float(mpmath.sqrt(var))
+
+
+def mp_pearson_r(x, y):
+    """Product-moment correlation of `x` and `y` in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(float(t)) for t in x]
+        b = [mpmath.mpf(float(t)) for t in y]
+        ma, mb = mpmath.fsum(a) / len(a), mpmath.fsum(b) / len(b)
+        sxy = mpmath.fsum((p - ma) * (q - mb) for p, q in zip(a, b))
+        sxx = mpmath.fsum((p - ma) ** 2 for p in a)
+        syy = mpmath.fsum((q - mb) ** 2 for q in b)
+        return float(sxy / mpmath.sqrt(sxx * syy))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from herdcluster.cli import main
 
-from conftest import RISING_ELBOW_HEADER, RISING_ELBOW_ROWS, write_csv, write_tenth_column_csv
+from conftest import (
+    RISING_ELBOW_HEADER, RISING_ELBOW_ROWS, mp_mean_std, mp_pearson_r, write_csv,
+    write_tenth_column_csv,
+)
 
 
 def make_blob_csv(tmp_path, seed=0, c=3, n=60):
@@ -351,44 +354,60 @@ class TestPipelineCommand:
 
 
 class TestOverflowingColumn:
-    """Finite cells whose moments overflow end in exit 3, not in inf or
-    a clipped NaN with exit 0."""
+    """Finite cells whose moments overflow unless each column is scaled
+    first: every command reports finite values, checked against mpmath,
+    and exits 0. Exit 3 is left for a reported value past the double
+    range."""
 
-    @staticmethod
-    def _table(tmp_path):
-        rows = [["a", 1e308, 300.0], ["b", 1e308, 310.0], ["c", -1e308, 305.0],
-                ["d", 1, 320.0]]
+    X = [1e308, 1e308, -1e308, 1.0]
+    BW = [300.0, 310.0, 305.0, 320.0]
+
+    def _table(self, tmp_path):
+        rows = [[a, x, bw] for a, x, bw in zip("abcd", self.X, self.BW)]
         return write_csv(tmp_path / "huge.csv", ["animal_id", "X", "BW"], rows)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_describe(self, tmp_path, capsys):
-        assert main(["describe", "--input", str(self._table(tmp_path))]) == 3
-        assert "column X overflowed" in capsys.readouterr().err
+        assert main(["describe", "--input", str(self._table(tmp_path))]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == "X"
+        mean, std = mp_mean_std(self.X)
+        assert float(row[1]) == pytest.approx(mean, rel=1e-12)
+        assert float(row[2]) == pytest.approx(std, rel=1e-12)
+        assert row[2] == "9.57427107756338e+307"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_correlate(self, tmp_path, capsys):
-        assert main(["correlate", "--input", str(self._table(tmp_path))]) == 3
-        assert "overflowed" in capsys.readouterr().err
+        assert main(["correlate", "--input", str(self._table(tmp_path))]) == 0
+        r = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+        assert r == pytest.approx(mp_pearson_r(self.X, self.BW), rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_pipeline(self, tmp_path, capsys):
         assert main(["pipeline", "--input", str(self._table(tmp_path)),
-                     "--target", "BW", "--features", "1",
-                     "--out", str(tmp_path / "out")]) == 3
-        assert "overflowed" in capsys.readouterr().err
+                     "--target", "BW", "--features", "1", "--k", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        mean, std = mp_mean_std(self.X)
+        assert doc["model"]["means"] == [pytest.approx(mean, rel=1e-12)]
+        assert doc["model"]["stds"] == [pytest.approx(std, rel=1e-12)]
+        assert doc["selection"]["r_values"] == [
+            pytest.approx(mp_pearson_r(self.X, self.BW), rel=1e-12)]
+        assert "BW" in doc["evaluation"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_cluster_names_the_pair(self, tmp_path, capsys):
+        # this exited 3 with "correlation overflowed for pair (X, BW)"
         assert main(["cluster", "--input", str(self._table(tmp_path)),
-                     "--target", "BW", "--features", "1",
-                     "--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert "correlation overflowed for pair (X, BW)" in err
-        assert err.count("overflowed") == 1  # the cause is said once
+                     "--target", "BW", "--features", "1", "--k", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "features=X" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert doc["stds"] == [pytest.approx(mp_mean_std(self.X)[1], rel=1e-12)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_evaluate(self, tmp_path, capsys):
-        # sums of squares overflow: this ended in F = 0, p = 1 with exit 0
+        # the F test is finite; the reported ms_within, about 1.25e615, is not
         path = write_csv(tmp_path / "t.csv", ["animal_id", "BW"],
                          [[f"a{i}", 1e308 if i == 0 else 0] for i in range(9)])
         labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster"],
@@ -396,20 +415,38 @@ class TestOverflowingColumn:
         assert main(["evaluate", "--input", str(path), "--labels", str(labels),
                      "--target", "BW"]) == 3
         captured = capsys.readouterr()
-        assert "sums of squares overflowed" in captured.err
+        assert "numerical error: within-group mean square overflowed" in captured.err
         assert "ANOVA" not in captured.out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_std_past_the_double_range(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "t.csv", ["animal_id", "X"],
+                         [[a, 1.7e308 * (-1) ** i] for i, a in enumerate("abcd")])
+        assert main(["describe", "--input", str(path)]) == 3
+        assert "numerical error: std of column X overflowed" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_boxplot_of_a_huge_target(self, tmp_path):
+        # the boxplot's value span, 3.3e308, overflowed into NaN coordinates
+        rows = [["a", 1.5e308, 1, 3], ["b", 1.6e308, 2, 1], ["c", -1.7e308, 3, 4],
+                ["d", 1, 4, 1], ["e", 2, 5, 9]]
+        path = write_csv(tmp_path / "t.csv", ["animal_id", "X", "A", "B"], rows)
+        assert main(["pipeline", "--input", str(path), "--target", "X", "--features", "2",
+                     "--k", "1", "--charts", "--out", str(tmp_path / "out")]) == 0
+        assert "nan" not in (tmp_path / "out" / "boxplot.svg").read_text()
 
 
 class TestUnderflowingPair:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_correlate(self, tmp_path, capsys):
-        # the product of the two sums of squares (about 1e-400) underflows to 0;
-        # this was a ZeroDivisionError traceback
-        path = write_csv(tmp_path / "tiny.csv", ["animal_id", "A", "B", "C"],
-                         [["a", 1e-100, 1e-100, 2], ["b", 2e-100, 3e-100, 1],
-                          ["c", 4e-100, 2e-100, 3]])
-        assert main(["correlate", "--input", str(path)]) == 3
-        assert "correlation underflowed for pair (A, B)" in capsys.readouterr().err
+        # unscaled, the product of the two sums of squares (about 1e-400)
+        # underflows to 0; this was a ZeroDivisionError traceback, then exit 3
+        cols = {"A": [1e-100, 2e-100, 4e-100], "B": [1e-100, 3e-100, 2e-100], "C": [2, 1, 3]}
+        path = write_csv(tmp_path / "tiny.csv", ["animal_id", *cols],
+                         [[a, *(c[i] for c in cols.values())] for i, a in enumerate("abc")])
+        assert main(["correlate", "--input", str(path)]) == 0
+        r = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+        assert r == pytest.approx(mp_pearson_r(cols["A"], cols["B"]), rel=1e-12)
 
 
 class TestAlphaChecked:

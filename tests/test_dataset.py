@@ -1,5 +1,8 @@
+import functools
+import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from herdcluster import (
 )
 from herdcluster.dataset import canonical_key
 
-from conftest import write_csv
+from conftest import mp_mean_std, write_csv
 
 # published per-animal (mean, std) rows of the grader-score table
 TABLE3 = [
@@ -155,10 +158,40 @@ class TestAggregateScores:
 class TestDescribe:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_moments_raise(self, tmp_path):
+        # the std, about 1.96e308, is past the double range
         path = write_csv(tmp_path / "t.csv", ["animal_id", "X"],
-                         [["a", 1e308], ["b", 1e308], ["c", -1e308], ["d", 1]])
-        with pytest.raises(NumericalError, match="X"):
+                         [["a", 1.7e308], ["b", -1.7e308], ["c", 1.7e308], ["d", -1.7e308]])
+        with pytest.raises(NumericalError, match=r"^std of column X overflowed$"):
             describe(load_table(path), "X")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x, std", [
+        ([1e308, 1e308, -1e308, 1.0], 9.57427107756338e+307),
+        ([1e-200, 2e-200, 3e-200, 5e-200], 1.707825127659933e-200),  # was 0.0
+        # q25 interpolates across 2e308
+        ([1e308, -1e308, 1e308, -1e308, 1e308], 1.0954451150103322e+308),
+        ([5e-324, 1e-323, 2e-323, 5e-324], 5e-324),  # subnormal
+    ])
+    def test_extreme_columns_match_mpmath(self, x, std):
+        d = describe(HerdTable(tuple(f"a{i}" for i in range(len(x))), {"X": x}, {}), "X")
+        near = functools.partial(pytest.approx, rel=1e-12, abs=5e-324)
+        assert (d.mean, d.std) == tuple(map(near, mp_mean_std(x)))
+        assert d.std == std
+        assert (d.min, d.max) == (min(x), max(x))
+        with mpmath.workdps(40):  # linear interpolation between order statistics
+            s = [mpmath.mpf(v) for v in sorted(x)] + [0]
+            h = [(len(x) - 1) * p for p in (0.25, 0.5, 0.75)]
+            want = [float(s[int(i)] + (i - int(i)) * (s[int(i) + 1] - s[int(i)])) for i in h]
+        assert [d.q25, d.q50, d.q75] == list(map(near, want))
+
+    def test_scaling_by_a_power_of_two_scales_exactly(self, synthetic_table):
+        for key in synthetic_table.keys:
+            base = describe(synthetic_table, key).as_dict()
+            for p in (-600, 5, 600):
+                t = HerdTable(synthetic_table.animal_ids,
+                              {key: np.ldexp(synthetic_table.column(key), p)}, {})
+                got = describe(t, key).as_dict()
+                assert all(got[f] == math.ldexp(base[f], p) for f in got if f != "key"), (key, p)
 
     def test_published_ss_row(self, scores_table):
         d = describe(scores_table, "SS")

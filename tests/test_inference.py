@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
@@ -19,6 +20,21 @@ from herdcluster import (
 )
 from herdcluster.inference import _norm_cdf
 from herdcluster.pipeline import json_text
+
+
+def mp_anova(values, labels):
+    """F, group means and grand mean in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        groups = {}
+        for v, g in zip(values, labels):
+            groups.setdefault(g, []).append(mpmath.mpf(v))
+        means = {g: mpmath.fsum(vs) / len(vs) for g, vs in groups.items()}
+        grand = mpmath.fsum(map(mpmath.mpf, values)) / len(values)
+        ssb = mpmath.fsum(len(vs) * (means[g] - grand) ** 2 for g, vs in groups.items())
+        ssw = mpmath.fsum((v - means[g]) ** 2 for g, vs in groups.items() for v in vs)
+        k, n = len(groups), len(values)
+        f = (ssb / (k - 1)) / (ssw / (n - k))
+        return float(f), tuple(float(means[g]) for g in sorted(groups)), float(grand)
 
 
 def f_cdf_oracle(x, d1, d2):
@@ -253,14 +269,26 @@ class TestOneWayAnova:
             one_way_anova([1.0, 2.0], [1, 2])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_sums_of_squares_raise(self):
-        # a sum of squares overflowed to inf read as degenerate: F = 0, p = 1
-        with pytest.raises(NumericalError, match="sums of squares overflowed"):
-            one_way_anova([1e308] + [0.0] * 8, [1] * 8 + [2])
-        # between (0.9e308) and within (1e308) are finite, their total is not
+    def test_huge_values_match_mpmath(self):
+        # unscaled, the first table's sums of squares overflow, and the
+        # second's total (between 0.9e308 plus within 1e308) does
         x, y = math.sqrt(0.5e308), math.sqrt(0.9e308)
-        with pytest.raises(NumericalError, match="sums of squares overflowed"):
-            one_way_anova([x, -x, y, y], [1, 1, 2, 2])
+        for values, labels in [([1e308] + [0.0] * 8, [1] * 8 + [2]),
+                               ([x, -x, y, y], [1, 1, 2, 2])]:
+            r = one_way_anova(values, labels)
+            f, means, grand = mp_anova(values, labels)
+            assert not r.degenerate
+            assert r.f_stat == pytest.approx(f, rel=1e-12)
+            assert r.group_means == pytest.approx(means, rel=1e-12)
+            assert r.grand_mean == pytest.approx(grand, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0, -30])
+    def test_degenerate_test_is_scale_free(self, p):
+        # at 2^-30 the total sum of squares fell below the old floor of 1
+        values = [math.ldexp(v, p) for v in (1, 1.1, 2, 2.1, 3, 3.05)]
+        r = one_way_anova(values, [1, 1, 2, 2, 3, 3])
+        assert not r.degenerate
+        assert r.f_stat == 520.1111111111106
 
     def test_sum_of_squares_decomposition(self):
         rng = np.random.default_rng(5)
@@ -337,9 +365,17 @@ class TestTukeyHsd:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_within_variance_raises(self):
-        # ms_within = inf gave q = 0 and p_adj = 1 for every pair
-        with pytest.raises(NumericalError, match="sums of squares overflowed"):
+        # ms_within = inf gave q = 0 and p_adj = 1 for every pair; here the
+        # reported ms_within, about 1.25e615, is past the double range
+        with pytest.raises(NumericalError, match="^within-group mean square overflowed$"):
             tukey_hsd([1e308] + [0.0] * 8, [1] * 8 + [2])
+        # here ms_within (0.5e308) and the mean difference are finite
+        x, y = math.sqrt(0.5e308), math.sqrt(0.9e308)
+        r = tukey_hsd([x, -x, y, y], [1, 1, 2, 2])
+        assert r.ms_within == pytest.approx(x * x, rel=1e-12)
+        assert r.pairs[0].mean_diff == y
+        f = mp_anova([x, -x, y, y], [1, 1, 2, 2])[0]
+        assert r.pairs[0].q_stat == pytest.approx(math.sqrt(2 * f), rel=1e-12)
 
     def test_text_and_json_output(self):
         r = tukey_hsd([1, 2, 5, 6, 9, 10], [1, 1, 2, 2, 3, 3])

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,13 +21,14 @@ from herdcluster import (
 )
 from herdcluster.pipeline import correlate, correlation_csv, json_text
 
-from conftest import write_csv, write_tenth_column_csv
+from conftest import mp_mean_std, mp_pearson_r, write_csv, write_tenth_column_csv
 
 
 def reference_pearson_r(x, y):
     """`pearson_r` as it was before `correlation_matrix` centred each column
     once, kept as a test-only reference: both columns centred per call, a
-    zero sum of squares taken as a constant column."""
+    zero sum of squares taken as a constant column, and NumericalError
+    where a sum of squares or their product overflows."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -56,11 +58,11 @@ def table_from_columns(tmp_path, columns):
 class TestPearsonR:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_not_clipped_to_a_bound(self):
-        # the NaN r of this column used to come out as -1.0
-        with pytest.raises(NumericalError, match="overflow"):
-            pearson_r([1e308, 1e308, -1e308, 1.0], [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(NumericalError, match="overflow"):
-            pearson_r([1e200, -1e200, 1e200, 0.0], [1e200, 1e200, -1e200, 0.0])
+        # the NaN r of the first pair once came out as -1.0; both pairs'
+        # sums of squares overflow unless the columns are scaled first
+        for x, y in [([1e308, 1e308, -1e308, 1.0], [1.0, 2.0, 3.0, 4.0]),
+                     ([1e200, -1e200, 1e200, 0.0], [1e200, 1e200, -1e200, 0.0])]:
+            assert pearson_r(x, y) == pytest.approx(mp_pearson_r(x, y), rel=1e-12)
 
     def test_self_correlation(self):
         x = [1.0, 2.0, 5.0, 3.0]
@@ -86,10 +88,12 @@ class TestPearsonR:
         with pytest.raises(DegenerateInputError):
             pearson_r([1, 1, 1], [1, 2, 3])
 
-    def test_underflowing_sums_of_squares_raise(self):
-        # the product of the two sums of squares underflows to 0
-        with pytest.raises(NumericalError, match="underflowed"):
-            pearson_r([1e-100, 2e-100, 4e-100], [1e-100, 3e-100, 2e-100])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_columns_match_mpmath(self):
+        # unscaled, the product of the two sums of squares underflows to 0
+        x, y = [1e-100, 2e-100, 4e-100], [1e-100, 3e-100, 2e-100]
+        assert pearson_r(x, y) == pytest.approx(mp_pearson_r(x, y), rel=1e-12)
+        assert pearson_r([1e-200, 2e-200, 3e-200, 5e-200], [1, 2, 3, 5.5]) == 0.9980827590608692
 
     @given(
         st.integers(min_value=0, max_value=2**32),
@@ -151,19 +155,21 @@ class TestCorrelationMatrix:
         with pytest.raises(DegenerateInputError, match=r"\(A, B\)"):
             correlation_matrix(t)
 
-    def test_underflow_names_pair(self, tmp_path):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_column_matches_mpmath(self, tmp_path):
+        # B's sum of squares, about 2e-400, underflows unless B is scaled first
         t = table_from_columns(tmp_path, {"A": [1, 2, 4], "B": [1e-200, 3e-200, 2e-200]})
-        with pytest.raises(NumericalError,
-                           match=r"^correlation underflowed for pair \(A, B\): values too small$"):
-            correlation_matrix(t)
+        assert correlation_matrix(t).r[0, 1] == pytest.approx(
+            mp_pearson_r(t.column("A"), t.column("B")), rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([None, 0, 1]))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_pearson_r(self, seed, decimals):
-        """Each pair's r has the reference's bytes; the first pair (in
-        matrix order) with a constant column, or on which the reference
-        raises, is named in the error instead."""
+        """Each pair's r has the reference's bytes where the reference is
+        finite, and matches mpmath to 1e-12 where it overflows (the 1e150
+        and 1e155 columns); the first pair (in matrix order) with a
+        constant column is named in the error instead."""
         rng = np.random.default_rng(seed)
         n, p = int(rng.integers(2, 40)), int(rng.integers(2, 7))
         Z = rng.normal(size=(n, p))
@@ -177,19 +183,23 @@ class TestCorrelationMatrix:
         keys = [f"K{j}" for j in range(p)]
         t = HerdTable(tuple(f"a{i}" for i in range(n)),
                       {k: X[:, j] for j, k in enumerate(keys)}, {})
-        want = np.eye(p)
+        want, oracle = np.eye(p), np.zeros((p, p), dtype=bool)
         for i in range(p):
             for j in range(i + 1, p):
                 x, y = t.column(keys[i]), t.column(keys[j])
-                try:
-                    if x.min() == x.max() or y.min() == y.max():
-                        raise DegenerateInputError("constant column")
-                    want[i, j] = want[j, i] = reference_pearson_r(x, y)
-                except (DegenerateInputError, NumericalError) as exc:
-                    with pytest.raises(type(exc), match=rf"pair \({keys[i]}, {keys[j]}\)"):
+                if x.min() == x.max() or y.min() == y.max():
+                    with pytest.raises(DegenerateInputError,
+                                       match=rf"pair \({keys[i]}, {keys[j]}\)"):
                         correlation_matrix(t)
                     return
-        assert correlation_matrix(t).r.tobytes() == want.tobytes()
+                try:
+                    want[i, j] = want[j, i] = reference_pearson_r(x, y)
+                except NumericalError:
+                    want[i, j] = want[j, i] = mp_pearson_r(x, y)
+                    oracle[i, j] = oracle[j, i] = True
+        got = correlation_matrix(t).r
+        assert got[~oracle].tobytes() == want[~oracle].tobytes()
+        np.testing.assert_allclose(got[oracle], want[oracle], rtol=1e-12)
 
     def test_csv_and_json_export(self, synthetic_table):
         m = correlation_matrix(synthetic_table, ["BW", "DA", "CW"])
@@ -259,10 +269,23 @@ class TestSelectFeatures:
 class TestZScore:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_moments_raise(self, tmp_path):
+        # X's std, about 1.96e308, is past the double range
         t = table_from_columns(tmp_path, {"A": [1, 2, 3, 4],
-                                          "X": [1e308, 1e308, -1e308, 1]})
-        with pytest.raises(NumericalError, match=r"mean or std of column X overflowed$"):
+                                          "X": [1.7e308, -1.7e308, 1.7e308, -1.7e308]})
+        with pytest.raises(NumericalError, match=r"^std of column X overflowed$"):
             zscore(t, ["A", "X"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_column_matches_mpmath(self, tmp_path):
+        # x - mean overflowed for the +-1.7e308 entries
+        x = [1.7e308, -1.7e308, 1.0, 2.0, -1.5e308]
+        z = zscore(table_from_columns(tmp_path, {"X": x}), ["X"])
+        mean, std = mp_mean_std(x)
+        assert (z.means[0], z.stds[0]) == (pytest.approx(mean, rel=1e-12),
+                                           pytest.approx(std, rel=1e-12))
+        with mpmath.workdps(40):
+            want = [float((mpmath.mpf(v) - mean) / std) for v in x]
+        np.testing.assert_allclose(z.z[:, 0], want, rtol=1e-12)
 
     def test_simple_column(self, tmp_path):
         t = table_from_columns(tmp_path, {"A": [1, 2, 3]})
