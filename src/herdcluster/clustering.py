@@ -86,33 +86,12 @@ def _as_points(z) -> np.ndarray:
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(R, n, k) squared distances from the points to R runs' (R, k, d)
-    centroids, summed a feature at a time in numpy's `.sum(axis=-1)` order
-    (sequential below 8 features; to 128, eight strided lanes added as
-    ((0+1)+(2+3))+((4+5)+(6+7)), then the tail; above, halves split at a
-    multiple of 8): the same bytes, without its (n, k, d) temporary."""
-
-    def term(j):
-        return (X[:, j, None] - centroids[:, None, :, j]) ** 2
-
-    def add(acc, features):
-        for j in features:
-            acc += term(j)
-        return acc
-
-    def lanes(lo, width, step, stop):
-        if width == 1:
-            return add(term(lo), range(lo + step, stop, step))
-        return lanes(lo, width // 2, step, stop) + lanes(lo + width // 2, width // 2, step, stop)
-
-    def block(lo, m):
-        if m > 128:
-            half = m // 2 - m // 2 % 8
-            return block(lo, half) + block(lo + half, m - half)
-        width = 8 if m >= 8 else 1
-        stop = lo + m - m % width
-        return add(lanes(lo, width, width, stop), range(stop, lo + m))
-
-    return block(0, X.shape[1])
+    centroids, features added in index order, without an (n, k, d)
+    temporary."""
+    d2 = (X[:, 0, None] - centroids[:, None, :, 0]) ** 2
+    for j in range(1, X.shape[1]):
+        d2 += (X[:, j, None] - centroids[:, None, :, j]) ** 2
+    return d2
 
 
 def _nearest(X: np.ndarray, centroids: np.ndarray):
@@ -129,10 +108,10 @@ def _init_kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
     centroids[:, 0] = X[[rng.integers(n) for rng in rngs]]
     closest = _sq_dists(X, centroids[:, :1])[..., 0]
     for c in range(1, k):
-        total = closest.sum(axis=1)
-        idx = [rng.integers(n) if t <= 0.0  # every point on a chosen centroid
-               else min(np.count_nonzero(cum < rng.random() * t), n - 1)
-               for rng, t, cum in zip(rngs, total, np.cumsum(closest, axis=1))]
+        # a draw below the run's total, cum[-1], never counts the last point
+        idx = [rng.integers(n) if cum[-1] <= 0.0  # every point on a chosen centroid
+               else np.count_nonzero(cum < rng.random() * cum[-1])
+               for rng, cum in zip(rngs, np.cumsum(closest, axis=1))]
         centroids[:, c] = X[idx]
         closest = np.minimum(closest, _sq_dists(X, centroids[:, c:c + 1])[..., 0])
     return centroids

@@ -224,11 +224,14 @@ def scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def unscaled(v: float, e, what: str) -> float:
     """`v` times 2^e, the value a scaled moment reports; NumericalError
-    when that leaves the double range."""
+    when that leaves the double range, or a nonzero `v` comes back as 0."""
     try:
-        return math.ldexp(v, int(e))
+        out = math.ldexp(v, int(e))
     except OverflowError:
         raise NumericalError(f"{what} overflowed") from None
+    if out == 0.0 and v != 0.0:
+        raise NumericalError(f"{what} underflowed")
+    return out
 
 
 def describe(table: HerdTable, key) -> DescriptiveStats:

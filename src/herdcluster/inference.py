@@ -308,6 +308,11 @@ def _sums_of_squares(values, groups):
     return grand, ss_between, ss_within, ss_total
 
 
+def _negligible(ss, ss_total):
+    """Whether `ss` is rounding residue next to `ss_total`: the one degeneracy test."""
+    return ss <= 1e-14 * ss_total
+
+
 def one_way_anova(values, labels) -> AnovaResult:
     """F test for equality of group means; groups are the distinct label
     values. Zero within-group variance yields a flagged degenerate result
@@ -319,11 +324,11 @@ def one_way_anova(values, labels) -> AnovaResult:
     df_b, df_w = k - 1, n - k
     means = tuple(unscaled(g.mean(), e, "group mean") for g in groups)
 
-    if ss_within <= 1e-14 * ss_total:
+    if _negligible(ss_within, ss_total):
         return AnovaResult(
-            f_stat=0.0 if ss_between <= 1e-14 * ss_total else math.inf,
+            f_stat=0.0 if _negligible(ss_between, ss_total) else math.inf,
             df_between=df_b, df_within=df_w,
-            p_value=1.0 if ss_between <= 1e-14 * ss_total else 0.0,
+            p_value=1.0 if _negligible(ss_between, ss_total) else 0.0,
             group_means=means, grand_mean=grand, degenerate=True,
         )
 
@@ -345,9 +350,9 @@ def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     values, e, group_ids, groups = _grouped(values, labels)
     k, n = len(groups), values.size
-    ss_within = _sums_of_squares(values, groups)[2]
+    _, _, ss_within, ss_total = _sums_of_squares(values, groups)
     df_w = n - k
-    if ss_within <= 0.0:
+    if _negligible(ss_within, ss_total):
         raise DegenerateInputError("zero within-group variance")
     ms_within = ss_within / df_w
     reported_ms = unscaled(ms_within, 2 * e, "within-group mean square")

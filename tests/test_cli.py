@@ -407,16 +407,20 @@ class TestOverflowingColumn:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_evaluate(self, tmp_path, capsys):
-        # the F test is finite; the reported ms_within, about 1.25e615, is not
-        path = write_csv(tmp_path / "t.csv", ["animal_id", "BW"],
-                         [[f"a{i}", 1e308 if i == 0 else 0] for i in range(9)])
-        labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster"],
-                           [[f"a{i}", 1 if i < 8 else 2] for i in range(9)])
-        assert main(["evaluate", "--input", str(path), "--labels", str(labels),
-                     "--target", "BW"]) == 3
-        captured = capsys.readouterr()
-        assert "numerical error: within-group mean square overflowed" in captured.err
-        assert "ANOVA" not in captured.out
+        # the F tests are finite; the reported ms_within, about 1.25e615 and
+        # 1e-400, is not (the second was printed as 0.0 with exit 0)
+        for bw, groups, past in [([1e308] + [0] * 8, [1] * 8 + [2], "overflowed"),
+                                 ([1e-200, 2e-200, 3e-200, 5e-200, 4e-200], [1, 1, 2, 2, 2],
+                                  "underflowed")]:
+            path = write_csv(tmp_path / "t.csv", ["animal_id", "BW"],
+                             [[f"a{i}", v] for i, v in enumerate(bw)])
+            labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster"],
+                               [[f"a{i}", g] for i, g in enumerate(groups)])
+            assert main(["evaluate", "--input", str(path), "--labels", str(labels),
+                         "--target", "BW"]) == 3
+            captured = capsys.readouterr()
+            assert f"numerical error: within-group mean square {past}" in captured.err
+            assert "ANOVA" not in captured.out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_std_past_the_double_range(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from herdcluster import (
@@ -161,16 +161,22 @@ class TestKMeansFit:
         assert restart_seed(42, 0) != 42
 
 
+def index_order_sq_dists(X, centroids):
+    """Squared distances, (n, k), with the features added in index order."""
+    return np.cumsum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=-1)[..., -1]
+
+
 def reference_lloyd(X, centroids):
     """The Lloyd loop before centroid sums moved to np.bincount, kept as a
     test-only reference: a masked mean per cluster, an empty-cluster
-    branch and a final assignment pass after the loop."""
+    branch and a final assignment pass after the loop. Distances and the
+    members' sums are taken in index order."""
 
     def nearest(centroids):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = index_order_sq_dists(X, centroids)
         return d2, np.argmin(d2, axis=1)
 
-    k = centroids.shape[0]
+    k, d = centroids.shape
     history = []
     labels = None
     for _ in range(KMeansConfig.max_iter):
@@ -182,7 +188,8 @@ def reference_lloyd(X, centroids):
         counts = np.bincount(labels, minlength=k)
         for c in range(k):
             if counts[c] > 0:
-                new_centroids[c] = X[labels == c].mean(axis=0)
+                # zero-started like bincount's sums (cumsum would keep a leading -0.0)
+                new_centroids[c] = sum(X[labels == c], np.zeros(d)) / counts[c]
         if np.any(counts == 0):
             cost = point_cost.copy()
             for c in np.where(counts == 0)[0]:
@@ -225,11 +232,11 @@ _lloyd_cases = dict(
 
 
 class TestLloydStep:
-    """`_lloyd` against the masked-mean reference: bit for bit where both
-    sum rows in index order (d >= 2); Lloyd's invariants at d = 1, where
-    numpy's mean sums a contiguous column pairwise instead."""
+    """`_lloyd` against the masked-mean reference, bit for bit: both add
+    features and rows in index order. Lloyd's invariants at d = 1, through
+    capped repair cycles, which reference equality does not imply."""
 
-    @given(d=st.integers(2, 6), **_lloyd_cases)
+    @given(d=st.integers(1, 6), **_lloyd_cases)
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_bit_for_bit(self, seed, d, decimals, duplicate, cap):
         X, start = lloyd_case(seed, d, decimals, duplicate)
@@ -270,26 +277,27 @@ class TestLloydStep:
 
 
 def per_restart_nearest(X, centroids):
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = index_order_sq_dists(X, centroids)
     labels = np.argmin(d2, axis=1)
     return d2[np.arange(X.shape[0]), labels], labels
 
 
 def per_restart_kmeanspp(X, k, rng):
-    """k-means++ for one restart, as it ran before restarts were batched."""
+    """k-means++ for one restart, as it ran before restarts were batched,
+    its distances and total taken in index order."""
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    closest = ((X - centroids[0]) ** 2).sum(axis=1)
+    closest = index_order_sq_dists(X, centroids[:1])[:, 0]
     for c in range(1, k):
-        total = closest.sum()
+        cum = np.cumsum(closest)
+        total = cum[-1]
         if total <= 0.0:
             centroids[c] = X[rng.integers(n)]
             continue
-        idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total))
-        idx = min(idx, n - 1)
+        idx = int(np.searchsorted(cum, rng.random() * total))
         centroids[c] = X[idx]
-        closest = np.minimum(closest, ((X - centroids[c]) ** 2).sum(axis=1))
+        closest = np.minimum(closest, index_order_sq_dists(X, centroids[c:c + 1])[:, 0])
     return centroids
 
 
@@ -409,17 +417,11 @@ class TestBatchedLloyd:
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 300), n=st.integers(1, 20),
            k=st.integers(1, 6), n_runs=st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
-    @example(seed=0, d=7, n=5, k=3, n_runs=2)
-    @example(seed=0, d=8, n=5, k=3, n_runs=2)
-    @example(seed=0, d=9, n=5, k=3, n_runs=2)
-    @example(seed=0, d=128, n=5, k=3, n_runs=2)
-    @example(seed=0, d=129, n=5, k=3, n_runs=2)
-    @example(seed=0, d=300, n=5, k=3, n_runs=2)
-    def test_kernel_sums_features_as_numpy_does(self, seed, d, n, k, n_runs):
+    def test_kernel_sums_features_in_index_order(self, seed, d, n, k, n_runs):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
         C = rng.normal(size=(n_runs, k, d))
-        want = np.stack([((X[:, None] - c[None]) ** 2).sum(axis=2) for c in C])
+        want = np.stack([index_order_sq_dists(X, c) for c in C])
         assert _sq_dists(X, C).tobytes() == want.tobytes()
 
 

@@ -362,6 +362,11 @@ class TestTukeyHsd:
     def test_zero_within_variance(self):
         with pytest.raises(DegenerateInputError):
             tukey_hsd([1, 1, 2, 2], [1, 1, 2, 2])
+        # the ANOVA calls these groups degenerate; Tukey gave q = 7.8e15
+        values, labels = [1, 1, 1, 2, 2, 2 + 4e-16], [1, 1, 1, 2, 2, 2]
+        assert one_way_anova(values, labels).degenerate
+        with pytest.raises(DegenerateInputError):
+            tukey_hsd(values, labels)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_within_variance_raises(self):
@@ -369,6 +374,9 @@ class TestTukeyHsd:
         # reported ms_within, about 1.25e615, is past the double range
         with pytest.raises(NumericalError, match="^within-group mean square overflowed$"):
             tukey_hsd([1e308] + [0.0] * 8, [1] * 8 + [2])
+        # and ms_within = 0.0 came next to q = 4.24: here it is about 1e-400
+        with pytest.raises(NumericalError, match="^within-group mean square underflowed$"):
+            tukey_hsd([1e-200, 2e-200, 3e-200, 5e-200, 4e-200], [1, 1, 2, 2, 2])
         # here ms_within (0.5e308) and the mean difference are finite
         x, y = math.sqrt(0.5e308), math.sqrt(0.9e308)
         r = tukey_hsd([x, -x, y, y], [1, 1, 2, 2])
