@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clustering import ElbowResult, KMeansModel
-from .dataset import scaled
+from .clustering import ElbowResult, KMeansModel, _as_points
+from .dataset import write_text
 from .errors import ValidationError
+from .inference import _by_label
 
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -20,25 +21,19 @@ _PALETTE = (
 
 _W, _H = 640, 480
 _MARGIN = 60
+_PAD = 0.05  # each axis reaches this fraction of its data span past the data
 
 
 def _color(cluster: int) -> str:
     return _PALETTE[(cluster - 1) % len(_PALETTE)]
 
 
-class _Scale:
-    """Linear data-to-pixel mapping with a small padding fraction."""
-
-    def __init__(self, lo: float, hi: float, px_lo: float, px_hi: float, pad=0.05):
-        span = hi - lo or 1.0
-        lo -= pad * span
-        hi += pad * span
-        self.lo, self.hi = lo, hi
-        self.px_lo, self.px_hi = px_lo, px_hi
-
-    def __call__(self, v: float) -> float:
-        frac = (v - self.lo) / (self.hi - self.lo)
-        return self.px_lo + frac * (self.px_hi - self.px_lo)
+def _scale(lo: float, hi: float, px_lo: float, px_hi: float):
+    """Linear data-to-pixel mapping of [lo, hi], padded by `_PAD`."""
+    span = hi - lo or 1.0
+    lo -= _PAD * span
+    hi += _PAD * span
+    return lambda v: px_lo + (v - lo) / (hi - lo) * (px_hi - px_lo)
 
 
 def _write_svg(path, body: list[str], title: str) -> None:
@@ -49,8 +44,7 @@ def _write_svg(path, body: list[str], title: str) -> None:
         f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="16" '
         f'font-family="sans-serif">{title}</text>',
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(head + body + ["</svg>"]) + "\n")
+    write_text(path, "\n".join(head + body + ["</svg>"]) + "\n")
 
 
 def _axes(x_label: str, y_label: str) -> list[str]:
@@ -85,8 +79,8 @@ def _legend(clusters: list[int]) -> list[str]:
 def emit_elbow_svg(elbow: ElbowResult, path) -> None:
     """Distortion-vs-k polyline with one vertex per evaluated k and a
     marker on the detected knee."""
-    sx = _Scale(min(elbow.k_values), max(elbow.k_values), _MARGIN, _W - _MARGIN)
-    sy = _Scale(min(elbow.distortions), max(elbow.distortions),
+    sx = _scale(min(elbow.k_values), max(elbow.k_values), _MARGIN, _W - _MARGIN)
+    sy = _scale(min(elbow.distortions), max(elbow.distortions),
                 _H - _MARGIN, _MARGIN)
     pts = " ".join(
         f"{sx(k):.2f},{sy(d):.2f}"
@@ -124,9 +118,7 @@ def emit_elbow_svg(elbow: ElbowResult, path) -> None:
 def emit_scatter_svg(model: KMeansModel, z, path) -> None:
     """Cluster scatter over the first two standardized features, centroids
     marked with an X, one legend entry per cluster."""
-    X = np.asarray(getattr(z, "z", z), dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = _as_points(z)
     if X.shape[0] != model.labels.size:
         raise ValidationError("points and labels disagree in length")
     two_d = X.shape[1] >= 2
@@ -135,9 +127,9 @@ def emit_scatter_svg(model: KMeansModel, z, path) -> None:
     cx = model.centroids[:, 0]
     cy = model.centroids[:, 1] if two_d else np.zeros(model.k)
 
-    sx = _Scale(float(min(xs.min(), cx.min())), float(max(xs.max(), cx.max())),
+    sx = _scale(float(min(xs.min(), cx.min())), float(max(xs.max(), cx.max())),
                 _MARGIN, _W - _MARGIN)
-    sy = _Scale(float(min(ys.min(), cy.min())), float(max(ys.max(), cy.max())),
+    sy = _scale(float(min(ys.min(), cy.min())), float(max(ys.max(), cy.max())),
                 _H - _MARGIN, _MARGIN)
 
     names = getattr(z, "keys", ("feature 1", "feature 2"))
@@ -166,26 +158,17 @@ def emit_boxplot_svg(values, labels, value_name: str, path) -> None:
     """One box per cluster in label order; whiskers reach the farthest
     point within 1.5 IQR of the box, points beyond drawn as outliers. Pixel
     positions are scale-free: they are taken on `scaled` values, whose spans are finite."""
-    values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if values.shape != labels.shape:
-        raise ValidationError("values and labels disagree in length")
-    values = scaled(values)[0]
-    clusters = sorted(int(c) for c in np.unique(labels))
-
-    sy = _Scale(float(values.min()), float(values.max()), _H - _MARGIN, _MARGIN)
+    values, _, clusters, groups = _by_label(values, labels)
+    sy = _scale(float(values.min()), float(values.max()), _H - _MARGIN, _MARGIN)
     slot = (_W - 2 * _MARGIN) / len(clusters)
     box_w = slot * 0.5
 
     body = _axes("cluster", value_name)
-    for pos, c in enumerate(clusters):
-        group = values[labels == c]
+    for pos, (c, group) in enumerate(zip(clusters, groups)):
         q1, q2, q3 = np.quantile(group, [0.25, 0.5, 0.75])
         iqr = q3 - q1
-        in_lo = group[group >= q1 - 1.5 * iqr]
-        in_hi = group[group <= q3 + 1.5 * iqr]
-        lo_w = float(in_lo.min()) if in_lo.size else float(q1)
-        hi_w = float(in_hi.max()) if in_hi.size else float(q3)
+        lo_w = float(group[group >= q1 - 1.5 * iqr].min())
+        hi_w = float(group[group <= q3 + 1.5 * iqr].max())
         cx = _MARGIN + slot * (pos + 0.5)
         left = cx - box_w / 2
 

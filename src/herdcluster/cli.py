@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data
-from .dataset import describe_all, load_table, read_csv
+from .dataset import describe_all, load_table, read_csv, write_text
 from .errors import NumericalError, ValidationError
 from .pipeline import (
     PRESETS, PipelineConfig, correlate, correlation_csv, csv_text, evaluate,
     fit_model, json_text, run_pipeline, scan_k, select_for_target, write_model,
-    write_text,
 )
 from .stats import zscore
 
@@ -79,11 +78,12 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    k_range = _parse_k_range(args.k_range)
     table = load_table(_resolve_input(args.input))
     _, selection = select_for_target(table, args.target, args.features,
                                      _split_keys(args.exclude))
     z = zscore(table, selection.selected)
-    elbow = None if args.k is not None else scan_k(z, _parse_k_range(args.k_range), args.seed)
+    elbow = None if args.k is not None else scan_k(z, k_range, args.seed)
     model = fit_model(z, args.k, elbow, args.seed)
     write_model(args.out, z, model)
     print(f"k={model.k} inertia={model.inertia:.6f} features={','.join(selection.selected)}")

@@ -3,21 +3,15 @@ from the published study, and a synthetic measurement table whose column
 means/stds match the published descriptive statistics (the raw per-animal
 measurements were never released)."""
 
-from importlib import resources
 from pathlib import Path
-
-
-def _bundled(name: str) -> Path:
-    with resources.as_file(resources.files(__package__) / name) as p:
-        return Path(p)
 
 
 def scores_path() -> Path:
     """CSV of the three graders' structure scores for all 23 animals."""
-    return _bundled("table3_scores.csv")
+    return Path(__file__).with_name("table3_scores.csv")
 
 
 def synthetic_path() -> Path:
     """Synthetic moment-matched measurement table (23 animals, all
     measurement columns plus the verbatim grader scores)."""
-    return _bundled("synthetic_measurements.csv")
+    return Path(__file__).with_name("synthetic_measurements.csv")

@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -138,6 +140,15 @@ def read_csv(path) -> Iterator[tuple[int, list[str]]]:
         raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` to the file at `path` as UTF-8, its newlines untranslated,
+    or to stdout when no path is given. Every artifact is written here."""
+    if not path:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8", newline="")
+
+
 def _parse_cell(raw: str, path, lineno: int, colname: str) -> float:
     raw = raw.strip()
     if raw == "":
@@ -192,24 +203,32 @@ def load_table(path) -> HerdTable:
             raise ValidationError(
                 "SS may not be supplied directly when S1..S3 are present"
             )
-        stacked = np.vstack([columns[k] for k in GRADER_KEYS])
-        columns[DERIVED_SCORE_KEY] = stacked.mean(axis=0)
+        columns[DERIVED_SCORE_KEY] = _grader_scores(columns)[3]
         provenance[DERIVED_SCORE_KEY] = "derived"
     return HerdTable(tuple(animal_ids), columns, provenance)
 
 
 def aggregate_scores(table: HerdTable) -> list[ScoreSummary]:
-    """Per-animal mean and sample std across the three grader columns."""
+    """Per-animal mean and sample std (0.0 for equal scores) of the grader columns."""
     for key in GRADER_KEYS:
         if key not in table.columns:
             raise ValidationError(f"missing grader column {key}")
-    stacked = np.vstack([table.columns[k] for k in GRADER_KEYS])  # 3 x n
-    means = stacked.mean(axis=0)
-    stds = stacked.std(axis=0, ddof=1)
+    stacked, xs, e, means = _grader_scores(table.columns)
     return [
-        ScoreSummary(animal, tuple(stacked[:, i]), float(means[i]), float(stds[i]))
-        for i, animal in enumerate(table.animal_ids)
+        ScoreSummary(animal, tuple(scores), float(mean), 0.0 if scores.min() == scores.max()
+                     else unscaled(sd, ei, f"std of animal {animal}'s scores"))
+        for animal, scores, mean, sd, ei
+        in zip(table.animal_ids, stacked.T, means, xs.std(axis=0, ddof=1), e)
     ]
+
+
+def _grader_scores(columns):
+    """The 3 x n stack of S1..S3, it `scaled` per animal, its exponents and the
+    mean scores (no mean exceeds its largest score, so `np.ldexp` cannot overflow)."""
+    stacked = np.vstack([columns[k] for k in GRADER_KEYS])
+    xs, e = scaled(stacked)
+    means = np.ldexp(xs.mean(axis=0), e)  # 3 x 0.1 has the mean 0.1 + 2^-56: clipped
+    return stacked, xs, e, np.clip(means, stacked.min(axis=0), stacked.max(axis=0))
 
 
 def scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -280,9 +280,9 @@ class TukeyResult:
         return "\n".join(lines)
 
 
-def _grouped(values, labels):
-    """`scaled` values and their exponent, the group ids and each group's
-    scaled values: F and q are scale-free, and these sums of squares finite."""
+def _by_label(values, labels):
+    """`scaled` values and their exponent, the sorted label ids and each label's
+    scaled values: F, q and chart positions are scale-free, and their squares' sums finite."""
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if values.shape != labels.shape or values.ndim != 1:
@@ -290,12 +290,18 @@ def _grouped(values, labels):
     if not np.all(np.isfinite(values)):
         raise ValidationError("values contain non-finite entries")
     group_ids = np.unique(labels)
-    if group_ids.size < 2:
-        raise ValidationError("need at least 2 groups")
-    if values.size <= group_ids.size:
-        raise ValidationError("need more observations than groups")
     values, e = scaled(values)
     return values, e, [int(g) for g in group_ids], [values[labels == g] for g in group_ids]
+
+
+def _grouped(values, labels):
+    """`_by_label`, for at least 2 groups and more observations than groups."""
+    values, e, group_ids, groups = _by_label(values, labels)
+    if len(groups) < 2:
+        raise ValidationError("need at least 2 groups")
+    if values.size <= len(groups):
+        raise ValidationError("need more observations than groups")
+    return values, e, group_ids, groups
 
 
 def _sums_of_squares(values, groups):

@@ -10,7 +10,6 @@ import csv
 import datetime
 import io
 import json
-import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .clustering import (
     ElbowResult, KMeansConfig, KMeansModel, elbow_scan, kmeans_fit, order_clusters,
 )
 from .charts import emit_boxplot_svg, emit_elbow_svg, emit_scatter_svg
-from .dataset import HerdTable, canonical_key, describe_all, load_table
+from .dataset import HerdTable, canonical_key, describe_all, load_table, write_text
 from .errors import DegenerateInputError, ValidationError
 from .inference import one_way_anova, tukey_hsd
 from .stats import (
@@ -106,14 +105,6 @@ def csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows([float(v) if isinstance(v, np.floating) else v for v in row] for row in rows)
     return buf.getvalue()
-
-
-def write_text(path, text: str) -> None:
-    """Write `text` to the file at `path`, or to stdout when no path is given."""
-    if not path:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def correlation_csv(corr: CorrelationMatrix) -> str:

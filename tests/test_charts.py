@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from herdcluster import KMeansConfig, elbow_scan, kmeans_fit, order_clusters
+from herdcluster import KMeansConfig, ValidationError, elbow_scan, kmeans_fit, order_clusters
 from herdcluster.charts import emit_boxplot_svg, emit_elbow_svg, emit_scatter_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -67,6 +67,14 @@ def test_scatter_svg_one_dimensional(tmp_path, rng):
     emit_scatter_svg(model, X, out)
     root = ET.parse(out).getroot()
     assert len(by_class(root, "centroid")) == 2
+
+
+@pytest.mark.parametrize("points", [lambda X: X[:-1], lambda X: np.vstack([X, X[:1]])])
+def test_scatter_svg_points_and_labels_agree(tmp_path, fitted, points):
+    X, model = fitted
+    with pytest.raises(ValidationError, match="points and labels disagree in length"):
+        emit_scatter_svg(model, points(X), tmp_path / "scatter.svg")
+    assert not (tmp_path / "scatter.svg").exists()
 
 
 def test_boxplot_svg_groups_in_cluster_order(tmp_path, rng):

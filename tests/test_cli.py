@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -338,9 +339,14 @@ class TestPipelineCommand:
         assert main(["pipeline", "--input", "builtin:synthetic",
                      "--target", "NOPE"]) == 2
 
-    def test_bad_k_range_syntax(self, capsys):
-        assert main(["pipeline", "--input", "builtin:synthetic",
-                     "--target", "BW", "--k-range", "oops"]) == 2
+    # cluster parsed --k-range only without --k, so "--k 2 --k-range x" exited 0
+    @pytest.mark.parametrize("command", [["pipeline"], ["cluster", "--k", "2"]],
+                             ids=["pipeline", "cluster"])
+    def test_bad_k_range_syntax(self, command, tmp_path, capsys):
+        assert main([*command, "--input", "builtin:synthetic", "--target", "BW",
+                     "--k-range", "x", "--out", str(tmp_path / "o")]) == 2
+        assert "--k-range must look like LO:HI, got 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("k_range", ["30:40", "0:40", "40:30"])
     def test_k_range_outside_herd_names_the_request(self, k_range, tmp_path, capsys):
@@ -351,6 +357,28 @@ class TestPipelineCommand:
         assert f"k range [{lo}, {hi}] must start in [1, 23], the herd size" in capsys.readouterr().err
 
 
+
+
+class TestInputChecks:
+    """Each check of a table, a labels file or the pipeline's flags exits 2
+    with a message that names the fault."""
+
+    @pytest.mark.parametrize("argv, header, rows, message", [
+        (["describe"], ["animal_id", "CH"], [["a", "nan"]], "non-finite value in column CH"),
+        (["describe"], ["animal_id", "CH"], [["a", "inf"]], "non-finite value in column CH"),
+        (["describe"], ["animal_id"], [["a"]], "need an id column plus measurements"),
+        (["describe"], ["animal_id", "CH"], [[" ", 1]], "empty animal id"),
+        # the table is its own labels file: its animals, but no cluster column
+        (["evaluate", "--labels", "{table}", "--target", "CH"], ["animal_id", "CH"],
+         [["a", 1], ["b", 2]], "labels CSV needs animal_id,cluster columns"),
+        (["pipeline", "--out", "{out}"], ["animal_id", "CH"], [["a", 1], ["b", 2]],
+         "either --preset or --target is required"),
+    ], ids=["nan", "inf", "id-only", "empty-id", "labels-without-cluster", "no-target"])
+    def test_exit_2_with_message(self, argv, header, rows, message, tmp_path, capsys):
+        table = write_csv(tmp_path / "t.csv", header, rows)
+        argv = [arg.format(table=table, out=tmp_path / "o") for arg in argv]
+        assert main([*argv, "--input", str(table)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestOverflowingColumn:
@@ -421,6 +449,19 @@ class TestOverflowingColumn:
             captured = capsys.readouterr()
             assert f"numerical error: within-group mean square {past}" in captured.err
             assert "ANOVA" not in captured.out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_derived_score_of_huge_grader_scores(self, tmp_path, capsys):
+        # SS was the unscaled mean, which overflowed: "column SS contains
+        # non-finite values", exit 2 (a traceback under RuntimeWarning errors)
+        s1 = [1.5e308, -1.5e308, 1.5e308, -1.5e308]
+        path = write_csv(tmp_path / "t.csv", ["animal_id", "S1", "S2", "S3"],
+                         [[a, v, 1.2e308, 1.6e308] for a, v in zip("abcd", s1)])
+        assert main(["describe", "--input", str(path)]) == 0
+        rows = {r[0]: r for r in csv.reader(capsys.readouterr().out.splitlines())}
+        ss = [mp_mean_std([v, 1.2e308, 1.6e308])[0] for v in s1]
+        assert float(rows["SS"][1]) == pytest.approx(mp_mean_std(ss)[0], rel=1e-12)
+        assert float(rows["SS"][7]) == pytest.approx(max(ss), rel=1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_std_past_the_double_range(self, tmp_path, capsys):

@@ -118,6 +118,12 @@ class TestKMeansFit:
         with pytest.raises(ValidationError, match="non-finite"):
             kmeans_fit(X, KMeansConfig(k=1))
 
+    @pytest.mark.parametrize("X", [np.empty(0), np.empty((0, 2)), np.empty((2, 0)),
+                                   np.zeros((2, 2, 2))])
+    def test_empty_or_not_2d_input(self, X):
+        with pytest.raises(ValidationError, match="non-empty 2-d point array"):
+            kmeans_fit(X, KMeansConfig(k=1))
+
     def test_determinism(self, rng):
         X = rng.normal(size=(30, 3))
         cfg = KMeansConfig(k=4, seed=99, n_restarts=8)

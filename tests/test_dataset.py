@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import time
 
@@ -120,6 +121,16 @@ class TestLoadTable:
         with pytest.raises(ValidationError):
             canonical_key("not a key!")
 
+    @pytest.mark.parametrize("ids, columns, message", [
+        ((), {"CH": []}, "table has no animals"),
+        (("a",), {}, "table has no measurement columns"),
+        (("a", "b"), {"CH": [1.0]}, "column CH has 1 values for 2 animals"),
+        (("a", "b"), {"CH": [1.0, math.inf]}, "column CH contains non-finite values"),
+    ])
+    def test_herd_table_checks(self, ids, columns, message):
+        with pytest.raises(ValidationError, match=message):
+            HerdTable(ids, columns, {})
+
 
 class TestAggregateScores:
     def test_published_rows(self, scores_table):
@@ -142,10 +153,20 @@ class TestAggregateScores:
             [s.mean for s in summaries], scores_table.column("SS")
         )
 
-    def test_mean_within_score_range(self, scores_table):
-        for s in aggregate_scores(scores_table):
+    def test_mean_within_score_range(self, scores_table, tmp_path):
+        # equal scores of 0.1 had the mean 0.1 + 2^-56 and a std of 1.7e-17,
+        # and equal scores of 1.1e-150 a mean one ulp above them
+        tiny = itertools.product([1.1e-150, 2.3e-150, 3.7e-150], repeat=3)
+        path = write_csv(tmp_path / "t.csv", ["animal_id", "S1", "S2", "S3"],
+                         [["tenth", 0.1, 0.1, 0.1]]
+                         + [[f"a{i}", *row] for i, row in enumerate(tiny)])
+        tables = (scores_table, load_table(path))
+        for s in (s for table in tables for s in aggregate_scores(table)):
             assert min(s.scores) <= s.mean <= max(s.scores)
             assert (s.std == 0.0) == (len(set(s.scores)) == 1)
+            mean, std = mp_mean_std(s.scores)
+            assert s.mean == pytest.approx(mean, rel=1e-15)
+            assert s.std == pytest.approx(std, rel=1e-15)
 
     def test_missing_grader_column(self, tmp_path):
         path = write_csv(

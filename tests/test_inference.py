@@ -178,6 +178,11 @@ class TestFCdf:
         with pytest.raises(ValidationError):
             f_cdf(-0.1, 2, 2)
 
+    @pytest.mark.parametrize("d1, d2", [(0, 2), (2, 0)])
+    def test_degrees_of_freedom_checked(self, d1, d2):
+        with pytest.raises(ValidationError, match="degrees of freedom must be positive"):
+            f_cdf(1.0, d1, d2)
+
 
 class TestNormCdf:
     def test_against_scipy_ndtr(self):
@@ -233,6 +238,11 @@ class TestStudentizedRangeCdf:
         with pytest.raises(ValidationError):
             studentized_range_cdf(-1.0, 3, 10)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_inverse_needs_p_inside_unit_interval(self, p):
+        with pytest.raises(ValidationError, match=r"p must be in \(0, 1\)"):
+            studentized_range_ppf(p, 3, 10)
+
 
 class TestOneWayAnova:
     def test_equal_group_means(self):
@@ -267,6 +277,17 @@ class TestOneWayAnova:
     def test_n_must_exceed_k(self):
         with pytest.raises(ValidationError, match="more observations"):
             one_way_anova([1.0, 2.0], [1, 2])
+
+    @pytest.mark.parametrize("values, labels, message", [
+        ([1.0, 2.0, 3.0], [1, 2], "1-d and equal length"),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1, 2], [1, 2]], "1-d and equal length"),
+        ([1.0, math.nan, 3.0, 4.0], [1, 1, 2, 2], "non-finite"),
+        ([1.0, 2.0, math.inf, 4.0], [1, 1, 2, 2], "non-finite"),
+    ])
+    def test_grouping_checks(self, values, labels, message):
+        for test in (one_way_anova, tukey_hsd):
+            with pytest.raises(ValidationError, match=message):
+                test(values, labels)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_values_match_mpmath(self):

@@ -57,6 +57,12 @@ def test_fit_model_fits_k_outside_the_scan(z):
     assert other.config.seed == 9
 
 
+@pytest.mark.parametrize("name", ["DORSUM", "", "none"])
+def test_unknown_preset(name):
+    with pytest.raises(ValidationError, match=f"unknown preset {name!r}"):
+        PipelineConfig.from_preset(name, data.synthetic_path())
+
+
 def test_fit_model_checks_k(z):
     n = len(z.animal_ids)
     for bad in (0, -1, n + 1):

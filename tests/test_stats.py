@@ -251,6 +251,14 @@ class TestSelectFeatures:
         with pytest.raises(ValidationError, match="exceeds"):
             select_features(m, "BW", len(m.keys))
 
+    @pytest.mark.parametrize("target, count, message", [
+        ("NOPE", 1, "target NOPE not in correlation matrix"),
+        ("BW", 0, "count must be positive"),
+    ])
+    def test_bad_target_or_count(self, synthetic_table, target, count, message):
+        with pytest.raises(ValidationError, match=message):
+            select_features(correlation_matrix(synthetic_table), target, count)
+
     def test_tie_break_by_key_order(self, tmp_path):
         t = table_from_columns(
             tmp_path,
