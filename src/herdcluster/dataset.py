@@ -258,8 +258,10 @@ def describe(table: HerdTable, key) -> DescriptiveStats:
     when min equals max), quantiles by linear interpolation."""
     x = table.column(key)
     xs, e = scaled(x)
-    mean = unscaled(np.mean(xs), e, f"mean of column {key}")
-    std = 0.0 if x.min() == x.max() else unscaled(np.std(xs, ddof=1), e, f"std of column {key}")
+    lo, hi = float(np.min(x)), float(np.max(x))
+    # 23 x 0.1 has the mean 0.1 + 2^-55: clipped
+    mean = min(max(unscaled(np.mean(xs), e, f"mean of column {key}"), lo), hi)
+    std = 0.0 if lo == hi else unscaled(np.std(xs, ddof=1), e, f"std of column {key}")
     # numpy interpolates as a + t(b - a), and b - a overflows only once max |x|
     # reaches 2^1023; halving such a column is exact for its normal values
     half = max(0, e - 1023)
@@ -268,11 +270,11 @@ def describe(table: HerdTable, key) -> DescriptiveStats:
         key=canonical_key(key),
         mean=mean,
         std=std,
-        min=float(np.min(x)),
+        min=lo,
         q25=float(q25),
         q50=float(q50),
         q75=float(q75),
-        max=float(np.max(x)),
+        max=hi,
     )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -21,8 +22,9 @@ from herdcluster import (
     order_clusters,
     zscore,
 )
+from herdcluster import clustering
 from herdcluster.clustering import (
-    ElbowResult, KMeansModel, _init_kmeanspp, _lloyd, _sq_dists, restart_seed,
+    ElbowResult, KMeansModel, _init_kmeanspp, _lloyd, _nearest, _rises, _sq_dists, restart_seed,
 )
 from herdcluster.pipeline import write_model
 
@@ -421,14 +423,139 @@ class TestBatchedLloyd:
         assert got.tobytes() == want.tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 300), n=st.integers(1, 20),
-           k=st.integers(1, 6), n_runs=st.integers(1, 3))
+           k=st.integers(1, 6), n_runs=st.integers(1, 3), ties=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_kernel_sums_features_in_index_order(self, seed, d, n, k, n_runs):
+    def test_kernel_sums_features_in_index_order(self, seed, d, n, k, n_runs, ties):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
         C = rng.normal(size=(n_runs, k, d))
+        if ties:  # equal distances to several centroids: the lowest index wins
+            X, C = np.round(X / 50), np.round(C)
         want = np.stack([index_order_sq_dists(X, c) for c in C])
-        assert _sq_dists(X, C).tobytes() == want.tobytes()
+        for c in range(k):
+            assert _sq_dists(X, C[:, c]).tobytes() == want[..., c].tobytes()
+        best, labels = _nearest(X, C)
+        assert best.tobytes() == want.min(axis=2).tobytes()
+        assert labels.tobytes() == want.argmin(axis=2).tobytes()
+
+    @given(case=batched_case(), seed=st.integers(0, 2**32 - 1),
+           cap=st.sampled_from([KMeansConfig.max_iter, 1, 3]))
+    @settings(max_examples=120, deadline=None)
+    def test_ragged_slot_counts_match_per_restart_lloyd(self, case, seed, cap):
+        # each run uses its own first ks[r] slots; the rest hold points
+        # (never zeros) that must take no point and no repair
+        X, starts = case
+        rng = np.random.default_rng(seed)
+        ks = rng.integers(1, starts.shape[1] + 1, size=len(starts))
+        with mock.patch.object(KMeansConfig, "max_iter", cap):
+            got = _lloyd(X, starts.copy(), ks)
+            assert len(got) == len(starts)
+            for fit, start, k in zip(got, starts, ks):
+                assert_same_fit(fit, per_restart_lloyd(X, start[:k].copy()))
+
+    def test_ragged_slot_counts_with_fewer_distinct_points_than_slots(self):
+        # 4 distinct points, k up to 9: empty clusters every iteration and
+        # duplicated k-means++ draws; the unused slots repeat a point
+        X = np.repeat([[0.0, 1.0], [0.5, 0.5], [3.0, 0.0], [0.0, 2.0]], 6, axis=0)
+        rngs = [np.random.default_rng(s) for s in range(5)]
+        starts = np.tile(_init_kmeanspp(X, 9, rngs), (9, 1, 1))
+        ks = np.repeat(np.arange(1, 10), 5)
+        for fit, start, k in zip(_lloyd(X, starts.copy(), ks), starts, ks):
+            assert_same_fit(fit, per_restart_lloyd(X, start[:k].copy()))
+            assert len(fit[3]) <= KMeansConfig.max_iter
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 4),
+           distinct=st.sampled_from([1, 2, 3, None]), n_runs=st.integers(1, 10),
+           k=st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_kmeanspp_prefix_is_the_smaller_start(self, seed, n, d, distinct, n_runs, k):
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        X = rng.normal(size=(n if distinct is None else distinct, d))
+        X = X[rng.integers(len(X), size=n)] if distinct is not None else X
+        seeds = [restart_seed(seed, r) for r in range(n_runs)]
+        full = _init_kmeanspp(X, k, [np.random.default_rng(s) for s in seeds])
+        for j in range(1, k + 1):
+            prefix = _init_kmeanspp(X, j, [np.random.default_rng(s) for s in seeds])
+            assert prefix.tobytes() == full[:, :j].tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 150), d=st.integers(1, 4),
+           decimals=st.sampled_from([None, 0, 1]), n_restarts=st.integers(1, 10),
+           width=st.integers(0, 11), cells=st.sampled_from([clustering._BATCH_CELLS, 1, 200]))
+    @settings(max_examples=40, deadline=None)
+    def test_elbow_scan_matches_per_k_loop(self, seed, n, d, decimals, n_restarts, width, cells):
+        # cells = 1 runs one restart per batch; 200 splits a k's restarts
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+        X = X if decimals is None else np.round(X, decimals)
+        lo = int(rng.integers(1, n + 1))
+        hi = min(n, lo + width)
+        cfg = KMeansConfig(k=1, seed=seed % 1000, n_restarts=n_restarts)
+        with mock.patch.object(clustering, "_BATCH_CELLS", cells):
+            assert_same_scan(elbow_scan(X, (lo, hi), cfg), X, cfg)
+
+    def test_elbow_scan_fits_its_lowest_k_through_kmeans_fit(self):
+        X = np.random.default_rng(0).normal(size=(40, 2))
+        cfg = KMeansConfig(k=1, seed=3)
+        with mock.patch.object(clustering, "kmeans_fit", wraps=kmeans_fit) as fit:
+            elbow_scan(X, (2, 6), cfg)
+        fit.assert_called_once_with(X, replace(cfg, k=2))
+
+    def test_elbow_scan_regrow_matches_per_k_loop(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", RISING_ELBOW_HEADER, RISING_ELBOW_ROWS)
+        z = zscore(load_table(path), ["A", "B", "C"])
+        cfg = KMeansConfig(k=1, seed=0)
+        assert_same_scan(elbow_scan(z, (1, 10), cfg), z.z, cfg)
+
+    def test_fit_memory_does_not_grow_with_restarts_times_k(self):
+        # an (R, n, k) distance array peaks near 21 MB here; the running
+        # minimum holds (R, n) arrays, about 4 MB in all
+        X = np.random.default_rng(0).normal(size=(10**4, 3))
+        tracemalloc.start()
+        try:
+            kmeans_fit(X, KMeansConfig(k=10, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+    def test_scan_memory_does_not_grow_with_its_width(self):
+        # one batch of all 100 (k, restart) runs peaks near 15 MB here, and
+        # the per-k fits of an (R, n, k) kernel near 9 MB
+        X = np.random.default_rng(0).normal(size=(4000, 3))
+        tracemalloc.start()
+        try:
+            elbow_scan(X, (1, 10), KMeansConfig(k=1, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7e6
+
+
+def per_k_elbow(X, k_values, cfg):
+    """elbow_scan's fits as they ran before the scan was batched: a
+    best-of-restarts fit per k, from its own k-means++ draws, regrown from
+    k-1's centroids when its inertia rises."""
+    fits = []
+    for k in k_values:
+        rngs = [np.random.default_rng(restart_seed(cfg.seed, r)) for r in range(cfg.n_restarts)]
+        fit = min((per_restart_lloyd(X, per_restart_kmeanspp(X, k, rng)) for rng in rngs),
+                  key=lambda f: f[2])
+        if fits and _rises(fits[-1][2], fit[2]):
+            prev = fits[-1][0]
+            far = int(np.argmax(per_restart_nearest(X, prev)[0]))
+            fit = per_restart_lloyd(X, np.vstack([prev, X[far]]))
+        fits.append(fit)
+    return fits
+
+
+def assert_same_scan(elbow, X, cfg):
+    fits = per_k_elbow(X, elbow.k_values, cfg)
+    assert elbow.distortions == tuple(f[2] for f in fits)
+    for model, fit, k in zip(elbow.models, fits, elbow.k_values):
+        assert model.config == replace(cfg, k=k)
+        got = (model.centroids, model.labels - 1, model.inertia, model.inertia_history)
+        assert_same_fit(got, fit)
 
 
 class TestOrderClusters:

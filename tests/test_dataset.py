@@ -244,6 +244,13 @@ class TestDescribe:
         assert (d.mean, d.std) == (5.0, 0.0)
         assert d.min == d.q25 == d.q50 == d.q75 == d.max == 5.0
 
+    def test_constant_column_mean_within_range(self, tmp_path):
+        # 23 rows of 0.1 had the mean 0.10000000000000003, above min = max
+        path = write_csv(tmp_path / "t.csv", ["animal_id", "X"],
+                         [[f"a{i}", 0.1] for i in range(23)])
+        d = describe(load_table(path), "X")
+        assert d.mean == d.min == d.max == 0.1 and d.std == 0.0
+
     def test_single_row_std_zero(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", ["animal_id", "CH"], [["a", 3]])
         assert describe(load_table(path), "CH").std == 0.0
