@@ -1,11 +1,13 @@
 import json
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize, special, stats
 
 from herdcluster import (
     DegenerateInputError,
@@ -18,6 +20,7 @@ from herdcluster import (
     studentized_range_ppf,
     tukey_hsd,
 )
+from herdcluster import inference
 from herdcluster.inference import _norm_cdf
 from herdcluster.pipeline import json_text
 
@@ -81,21 +84,21 @@ def studentized_range_cdf_oracle(q, k, df):
     return val
 
 
-# (q, k, df, cdf) on the quadrature's fixed grid. The scipy checks allow
+# (q, k, df, cdf) on the quadrature's df-graded grid. The scipy checks allow
 # 1e-6, far more than any slip in the normal CDF or the grid would move a
 # value, so these pin the kernel's output to 1e-13.
 PINNED_SRANGE_CDF = [
     (0.5, 2, 5, 0.2619073981060855),
     (1.5, 2, 20, 0.6985141862348058),
     (3.0, 2, 120, 0.9640476801349931),
-    (6.0, 2, 2000, 0.9999769007484595),
-    (10.0, 2, 600, 0.9999999999955655),
+    (6.0, 2, 2000, 0.9999769007480204),
+    (10.0, 2, 600, 0.9999999999957068),
     (25.0, 2, 2000, 1.0),
     (40.0, 2, 5, 0.9999989653821455),
     (0.5, 6, 600, 0.0007259565126414258),
     (2.0, 6, 5, 0.27798450616435993),
     (3.5, 6, 60, 0.8518790360206272),
-    (4.5, 6, 600, 0.9808902554895861),
+    (4.5, 6, 600, 0.9808902554897259),
     (7.0, 6, 1100, 0.9999872869618294),
     (12.0, 6, 200, 0.9999999999999103),
     (40.0, 6, 2000, 1.0),
@@ -110,9 +113,9 @@ PINNED_SRANGE_CDF = [
     (0.5, 20, 1924, 1.8677493887906123e-13),
     (2.5, 20, 5, 0.0998257700061496),
     (4.0, 20, 100, 0.6466699776044971),
-    (5.0, 20, 1924, 0.9478043987814591),
+    (5.0, 20, 1924, 0.9478043987817409),
     (7.5, 20, 40, 0.9993347074335743),
-    (9.0, 20, 1924, 0.9999999535964829),
+    (9.0, 20, 1924, 0.9999999535967803),
     (20.0, 20, 2000, 1.0),
     (40.0, 20, 500, 0.9999999999999407),
 ]
@@ -229,6 +232,26 @@ class TestStudentizedRangeCdf:
     @pytest.mark.parametrize("q, k, df, expected", PINNED_SRANGE_CDF)
     def test_pinned_values(self, q, k, df, expected):
         assert abs(studentized_range_cdf(q, k, df) - expected) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 20, 60, 480, 2000, 5000])
+    def test_two_groups_match_exact_t_oracle(self, df):
+        # for k = 2 the range is √2·|T| with T ~ t(df); at df = 1 the
+        # largest q has p ≈ 1e-3, in the chi density's wide lower tail
+        for q in np.geomspace(0.5, 1000.0, 40):
+            exact = 2.0 * stats.t.cdf(q / math.sqrt(2.0), df) - 1.0
+            assert abs(studentized_range_cdf(float(q), 2, df) - exact) <= 1e-12, q
+
+    @pytest.mark.parametrize("df, limit_mb", [(1, 12.0), (20, 2.0), (480, 2.0), (2000, 2.0)])
+    def test_one_call_peak_memory(self, df, limit_mb):
+        studentized_range_cdf(3.0, 20, df)  # builds the cached grid
+        tracemalloc.start()
+        try:
+            studentized_range_cdf(3.0, 20, df)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):
@@ -379,6 +402,23 @@ class TestTukeyHsd:
             for alpha in (0.01, 0.05, 0.1, 0.5):
                 if abs(anova.p_value - alpha) > 1e-6:
                     assert (pair.p_adj < alpha) == (anova.p_value < alpha)
+
+    def test_two_groups_at_df_3_match_exact_t_oracle(self):
+        r = tukey_hsd([1.0, 2.0, 3.0, 100.0, 101.5], [1, 1, 1, 2, 2])  # q ≈ 150
+        (pair,) = r.pairs
+        assert r.df_within == 3
+        exact = 2.0 * stats.t.sf(pair.q_stat / math.sqrt(2.0), 3)
+        assert abs(pair.p_adj - exact) <= 1e-12
+
+    def test_one_quadrature_per_pair(self):
+        # the benchmark times each pair's `studentized_range_cdf` call
+        spy = mock.patch.object(inference, "studentized_range_cdf",
+                                wraps=inference.studentized_range_cdf)
+        values, labels = np.arange(24.0) % 7, np.repeat([1, 2, 3, 4], 6)
+        with spy as cdf:
+            r = tukey_hsd(values, labels)
+        assert cdf.call_count == len(r.pairs) == 6
+        assert {c.args[1:] for c in cdf.call_args_list} == {(4, 20)}
 
     def test_zero_within_variance(self):
         with pytest.raises(DegenerateInputError):
