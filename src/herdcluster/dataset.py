@@ -187,10 +187,13 @@ def load_table(path) -> HerdTable:
         if not animal:
             raise ValidationError(f"{path}:{lineno}: empty animal id")
         animal_ids.append(animal)
-        data.append(
-            [_parse_cell(raw, path, lineno, keys[i])
-             for i, raw in enumerate(rec[1:])]
-        )
+        try:  # the whole row at once, then cell by cell if a cell fails
+            row = list(map(float, rec[1:]))
+        except ValueError:
+            row = None
+        if row is None or not all(map(math.isfinite, row)):
+            row = [_parse_cell(raw, path, lineno, keys[i]) for i, raw in enumerate(rec[1:])]
+        data.append(row)
 
     if not animal_ids:
         raise ValidationError(f"{path}: no data rows")

@@ -52,9 +52,9 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) for x in [0, 1], a, b > 0."""
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):  # NaN fails every check
         raise ValidationError(f"shape parameters must be positive, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise ValidationError(f"x must be in [0, 1], got {x}")
     if x == 0.0:
         return 0.0
@@ -72,9 +72,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 def f_cdf(x: float, d1: int, d2: int) -> float:
     """CDF of the F distribution with (d1, d2) degrees of freedom."""
-    if d1 < 1 or d2 < 1:
+    if not (d1 >= 1 and d2 >= 1):
         raise ValidationError(f"degrees of freedom must be positive, got {d1}, {d2}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValidationError(f"F statistic must be non-negative, got {x}")
     if x == 0.0:
         return 0.0
@@ -119,31 +119,33 @@ def _poly(coef, x: np.ndarray) -> np.ndarray:
 
 
 def _norm_cdf(a: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, Φ(a) = erfc(-a/√2)/2, by whole-array rational
-    approximations. Each region is evaluated over the whole array and picked
-    with `np.copyto(..., where=)`, so no region is gathered into a copy.
-    Relative error stays below 1e-13 down to a ≈ -37.5, where Φ underflows
-    to 0."""
+    """Standard normal CDF, Φ(a) = erfc(-a/√2)/2, by rational approximations,
+    each run only on the cells its region's mask gathers. Cells with
+    x² > _MAX_EXP_ARG read 0 (1 for a > 0); NaN reads 0, so callers reject it.
+    Relative error stays below 1e-13 down to a ≈ -37.5, where Φ underflows to 0."""
     x = a * math.sqrt(0.5)
     ax = np.minimum(np.abs(x), 27.0)  # keeps the tail polynomials finite
     x2 = ax * ax
-    lower = _poly(_ERFC_P, ax)  # becomes Φ(-|a|) = erfc(|x|)/2
-    lower /= _poly(_ERFC_Q, ax)
-    far = _poly(_ERFC_R, ax)
-    far /= _poly(_ERFC_S, ax)
-    np.copyto(lower, far, where=ax >= 8.0)
-    exp_neg = np.negative(x2, out=far)
-    np.copyto(exp_neg, -np.inf, where=x2 > _MAX_EXP_ARG)
-    np.exp(exp_neg, out=exp_neg)
-    lower *= 0.5
-    lower *= exp_neg
-    cdf = np.subtract(1.0, lower, out=lower, where=x > 0.0)
-    centre = _poly(_ERF_T, x2)  # 1/2 + erf(x)/2
-    centre /= _poly(_ERF_U, x2)
-    centre *= x
+    cdf = np.zeros_like(x)  # becomes Φ(-|a|) = erfc(|x|)/2 where |x| >= 1
+    for cells, num, den in (((ax >= 1.0) & (ax < 8.0), _ERFC_P, _ERFC_Q),
+                            ((ax >= 8.0) & (x2 <= _MAX_EXP_ARG), _ERFC_R, _ERFC_S)):
+        t = ax[cells]
+        lower = _poly(num, t)
+        lower /= _poly(den, t)
+        lower *= 0.5
+        lower *= np.exp(-x2[cells])
+        cdf[cells] = lower
+    # one full-array pass: a per-region mask of x > 0 would take a new small
+    # size each call, and numpy keeps freed small blocks per size, so RSS creeps
+    np.subtract(1.0, cdf, out=cdf, where=x > 0.0)
+    cells = ax < 1.0
+    t = x2[cells]
+    centre = _poly(_ERF_T, t)  # 1/2 + erf(x)/2
+    centre /= _poly(_ERF_U, t)
+    centre *= x[cells]
     centre *= 0.5
     centre += 0.5
-    np.copyto(cdf, centre, where=ax < 1.0)
+    cdf[cells] = centre
     return cdf
 
 
@@ -200,11 +202,11 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     """CDF of the studentized range with k groups and df error degrees of
     freedom: outer composite Gauss-Legendre quadrature over the chi-based
     scale factor, inner quadrature over the normal location."""
-    if k < 2:
+    if not k >= 2:
         raise ValidationError(f"need k >= 2 groups, got {k}")
-    if df < 1:
+    if not df >= 1:
         raise ValidationError(f"degrees of freedom must be positive, got {df}")
-    if q < 0.0:
+    if not q >= 0.0:
         raise ValidationError(f"q must be non-negative, got {q}")
     if q == 0.0:
         return 0.0

@@ -1,11 +1,16 @@
+import csv
 import functools
 import itertools
 import math
+import tempfile
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herdcluster import (
     HerdTable,
@@ -15,7 +20,7 @@ from herdcluster import (
     describe,
     load_table,
 )
-from herdcluster.dataset import canonical_key
+from herdcluster.dataset import _parse_cell, canonical_key
 
 from conftest import mp_mean_std, write_csv
 
@@ -83,6 +88,65 @@ class TestLoadTable:
         path = write_csv(tmp_path / "t.csv", ["animal_id", "CH"], [["a", "x"]])
         with pytest.raises(ValidationError, match="non-numeric"):
             load_table(path)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("", "missing value in column RH"),
+        ("abc", "non-numeric value 'abc' in column RH"),
+        ("nan", "non-finite value in column RH"),
+        ("inf", "non-finite value in column RH"),
+        ("-inf", "non-finite value in column RH"),
+    ])
+    def test_first_bad_cell_of_a_row_is_named(self, tmp_path, cell, message):
+        # CH parses and BW is bad too: the message names RH, the first bad cell
+        path = write_csv(tmp_path / "t.csv", ["animal_id", "CH", "RH", "BW"],
+                         [["a", 1, 2, 3], ["b", 4, cell, "x"]])
+        with pytest.raises(ValidationError) as exc:
+            load_table(path)
+        assert str(exc.value) == f"{path}:3: {message}"
+
+    def test_bad_cell_reported_before_a_later_empty_id(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", ["animal_id", "CH"],
+                         [["a", 1], ["b", "x"], ["c", 3], ["", 4]])
+        with pytest.raises(ValidationError) as exc:
+            load_table(path)
+        assert str(exc.value) == f"{path}:3: non-numeric value 'x' in column CH"
+
+    def test_padded_cells_parse_as_each_cell_did(self, tmp_path):
+        # float() strips what str.strip() does, except \x1c-\x1f, which it
+        # rejects: that row is parsed again cell by cell
+        cells = [" 1.5 ", "\t2\t", "1_000", "\xa0-0\xa0", "\x1c3\x1f", "1e3 "]
+        keys = [f"C{i}" for i in range(len(cells))]
+        path = tmp_path / "t.csv"
+        path.write_text(f"animal_id,{','.join(keys)}\na,{','.join(cells)}\n", encoding="utf-8")
+        table = load_table(path)
+        got = np.array([table.column(key)[0] for key in keys])
+        want = np.array([_parse_cell(cell, path, 2, key) for cell, key in zip(cells, keys)])
+        assert want.tolist() == [1.5, 2.0, 1000.0, -0.0, 3.0, 1000.0]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(cells=st.lists(
+        st.sampled_from(["1", " 2.5 ", "1_000", "", " ", "abc", "nan", "-inf", "1e999",
+                         "-0", "\x1c4\x1f", "0x1", "1__0"])
+        | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                  max_size=6),
+        min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_row_parse_matches_cell_by_cell_parse(self, cells):
+        keys = [f"C{i}" for i in range(len(cells))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([["animal_id", *keys], ["a", *cells]])
+            try:
+                want = [_parse_cell(cell, path, 2, key) for cell, key in zip(cells, keys)]
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    load_table(path)
+                assert str(got.value) == str(exc)
+            else:
+                table = load_table(path)
+                got = np.array([table.column(key)[0] for key in keys])
+                assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
     def test_record_width_checked(self, tmp_path):
         # the blank line 3 is skipped, not counted as a short record

@@ -7,6 +7,9 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, optimize, special, stats
 
 from herdcluster import (
@@ -84,6 +87,48 @@ def studentized_range_cdf_oracle(q, k, df):
     return val
 
 
+def _norm_cdf_whole_array(a):
+    """Reference normal CDF: every Cephes rational over the whole array, each
+    region picked with `np.copyto`. `_norm_cdf` must match it bit for bit."""
+    x = a * math.sqrt(0.5)
+    ax = np.minimum(np.abs(x), 27.0)
+    x2 = ax * ax
+    lower = inference._poly(inference._ERFC_P, ax)
+    lower /= inference._poly(inference._ERFC_Q, ax)
+    far = inference._poly(inference._ERFC_R, ax)
+    far /= inference._poly(inference._ERFC_S, ax)
+    np.copyto(lower, far, where=ax >= 8.0)
+    exp_neg = np.negative(x2, out=far)
+    np.copyto(exp_neg, -np.inf, where=x2 > inference._MAX_EXP_ARG)
+    np.exp(exp_neg, out=exp_neg)
+    lower *= 0.5
+    lower *= exp_neg
+    cdf = np.subtract(1.0, lower, out=lower, where=x > 0.0)
+    centre = inference._poly(inference._ERF_T, x2)
+    centre /= inference._poly(inference._ERF_U, x2)
+    centre *= x
+    centre *= 0.5
+    centre += 0.5
+    np.copyto(cdf, centre, where=ax < 1.0)
+    return cdf
+
+
+def _region_edges():
+    """a where x = a·√½ is exactly 1, 8, √_MAX_EXP_ARG or the clip at 27 (the
+    region edges) and its two neighbours either side, and ±0, subnormals,
+    ±1e300 and ±inf."""
+    a = [b / math.sqrt(0.5) for b in (1.0, 8.0, math.sqrt(inference._MAX_EXP_ARG), 27.0)]
+    a += [0.0, 5e-324, 2.2250738585072014e-308, 1e300, math.inf]
+    a = np.array(a + [-v for v in a])
+    cells = [a]
+    for direction in (np.inf, -np.inf):
+        step = a
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            cells.append(step)
+    return np.concatenate(cells)
+
+
 # (q, k, df, cdf) on the quadrature's df-graded grid. The scipy checks allow
 # 1e-6, far more than any slip in the normal CDF or the grid would move a
 # value, so these pin the kernel's output to 1e-13.
@@ -151,6 +196,12 @@ class TestRegIncBeta:
         with pytest.raises(ValidationError):
             reg_inc_beta(0.5, -1, 1)
 
+    @pytest.mark.parametrize("x, a, b", [(math.nan, 1, 2), (0.5, math.nan, 2), (0.5, 1, math.nan)])
+    def test_nan_is_a_validation_error(self, x, a, b):
+        # NaN once ran 300 continued-fraction terms and raised NumericalError
+        with pytest.raises(ValidationError):
+            reg_inc_beta(x, a, b)
+
     def test_non_convergence_is_numerical(self):
         with pytest.raises(NumericalError, match="converge"):
             reg_inc_beta(0.5, 1e7, 1e7)
@@ -186,7 +237,17 @@ class TestFCdf:
         with pytest.raises(ValidationError, match="degrees of freedom must be positive"):
             f_cdf(1.0, d1, d2)
 
+    @pytest.mark.parametrize("x, d1, d2, message", [
+        (math.nan, 2, 20, "F statistic must be non-negative"),
+        (1.0, math.nan, 20, "degrees of freedom must be positive"),
+        (1.0, 2, math.nan, "degrees of freedom must be positive"),
+    ])
+    def test_nan_is_a_validation_error(self, x, d1, d2, message):
+        with pytest.raises(ValidationError, match=message):
+            f_cdf(x, d1, d2)
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNormCdf:
     def test_against_scipy_ndtr(self):
         a = np.linspace(-38.0, 8.5, 200_001)
@@ -199,6 +260,36 @@ class TestNormCdf:
     def test_limits(self):
         got = _norm_cdf(np.array([-np.inf, -1e300, 0.0, 1e300, np.inf]))
         assert got.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+    def test_region_edges_match_whole_array_kernel_bit_for_bit(self):
+        # the sweep reaches a ≈ -37.5, where Φ is subnormal and the order of
+        # the products shows in the last bit
+        a = np.concatenate([_region_edges(), np.linspace(-40.0, 12.0, 200_001)])
+        assert np.array_equal(_norm_cdf(a).view(np.int64),
+                              _norm_cdf_whole_array(a).view(np.int64))
+
+    @given(a=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=64),
+                        elements=st.floats(-60.0, 12.0) | st.floats(allow_nan=False)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_whole_array_kernel_bit_for_bit(self, a):
+        got = _norm_cdf(a)
+        assert got.shape == a.shape
+        assert np.array_equal(got.view(np.int64), _norm_cdf_whole_array(a).view(np.int64))
+
+    @pytest.mark.parametrize("df", [1, 3, 11, 20, 500, 1938])
+    def test_studentized_range_matches_whole_array_kernel(self, df):
+        # the golden manifest has no pair with q > 10; perfbench's median
+        # Tukey pair has q near 18, where most cells are in the far tail
+        def cdfs():
+            inference._inner_grid.cache_clear()
+            return np.array([studentized_range_cdf(float(q), k, df) for k in (2, 6, 12, 20)
+                             for q in np.geomspace(0.1, 100.0, 20)])
+
+        got = cdfs()
+        with mock.patch.object(inference, "_norm_cdf", _norm_cdf_whole_array):
+            want = cdfs()
+        inference._inner_grid.cache_clear()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestStudentizedRangeCdf:
@@ -260,6 +351,16 @@ class TestStudentizedRangeCdf:
             studentized_range_cdf(1.0, 3, 0)
         with pytest.raises(ValidationError):
             studentized_range_cdf(-1.0, 3, 10)
+
+    @pytest.mark.parametrize("q, k, df, message", [
+        (math.nan, 3, 20, "q must be non-negative"),
+        (1.0, math.nan, 20, "need k >= 2 groups"),
+        (1.0, 3, math.nan, "degrees of freedom must be positive"),
+    ])
+    def test_nan_is_a_validation_error(self, q, k, df, message):
+        # a NaN q once returned 0.0
+        with pytest.raises(ValidationError, match=message):
+            studentized_range_cdf(q, k, df)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_inverse_needs_p_inside_unit_interval(self, p):
