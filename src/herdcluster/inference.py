@@ -51,9 +51,9 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1], a, b > 0."""
-    if not (a > 0.0 and b > 0.0):  # NaN fails every check
-        raise ValidationError(f"shape parameters must be positive, got a={a}, b={b}")
+    """Regularized incomplete beta I_x(a, b) for x in [0, 1], finite a, b > 0."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails every check
+        raise ValidationError(f"shape parameters must be positive and finite, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"x must be in [0, 1], got {x}")
     if x == 0.0:
@@ -72,8 +72,8 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 def f_cdf(x: float, d1: int, d2: int) -> float:
     """CDF of the F distribution with (d1, d2) degrees of freedom."""
-    if not (d1 >= 1 and d2 >= 1):
-        raise ValidationError(f"degrees of freedom must be positive, got {d1}, {d2}")
+    if not (1 <= d1 < math.inf and 1 <= d2 < math.inf):
+        raise ValidationError(f"degrees of freedom must be positive and finite, got {d1}, {d2}")
     if not x >= 0.0:
         raise ValidationError(f"F statistic must be non-negative, got {x}")
     if x == 0.0:
@@ -202,10 +202,10 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     """CDF of the studentized range with k groups and df error degrees of
     freedom: outer composite Gauss-Legendre quadrature over the chi-based
     scale factor, inner quadrature over the normal location."""
-    if not k >= 2:
-        raise ValidationError(f"need k >= 2 groups, got {k}")
-    if not df >= 1:
-        raise ValidationError(f"degrees of freedom must be positive, got {df}")
+    if not (k >= 2 and float(k).is_integer()):  # inf is not an integer
+        raise ValidationError(f"need k >= 2 groups, a whole number, got {k}")
+    if not 1 <= df < math.inf:
+        raise ValidationError(f"degrees of freedom must be positive and finite, got {df}")
     if not q >= 0.0:
         raise ValidationError(f"q must be non-negative, got {q}")
     if q == 0.0:
@@ -217,7 +217,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
     width = cdf_z[None, :] - _norm_cdf(z[None, :] - (q * u)[:, None])
     # width^(k-1) by binary powering: `**` with an exponent of 3 or more
     # gives other bytes on other CPUs, multiplication does not
-    power, n = None, k - 1
+    power, n = None, int(k) - 1
     while n:
         if n & 1:
             power = width if power is None else np.multiply(power, width, out=power)

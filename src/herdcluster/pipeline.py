@@ -21,11 +21,11 @@ from .clustering import (
 )
 from .charts import emit_boxplot_svg, emit_elbow_svg, emit_scatter_svg
 from .dataset import HerdTable, canonical_key, describe_all, load_table, write_text
-from .errors import DegenerateInputError, ValidationError
+from .errors import ValidationError
 from .inference import one_way_anova, tukey_hsd
 from .stats import (
-    CorrelationMatrix, FeatureSelection, StandardizedMatrix, correlation_matrix,
-    pearson_r, select_features, zscore,
+    CorrelationMatrix, FeatureSelection, StandardizedMatrix, _correlations,
+    correlation_matrix, select_features, zscore,
 )
 
 #: The two measurement-selection configurations used for the published
@@ -198,15 +198,10 @@ def run_pipeline(cfg: PipelineConfig) -> RunReport:
     elbow = scan_k(z, cfg.k_range, cfg.seed)
     model = fit_model(z, cfg.k, elbow, cfg.seed)
 
-    label_corr = {}
-    for key in corr.keys:  # none when k = 1: constant labels are degenerate
-        try:
-            label_corr[key] = pearson_r(model.labels, table.column(key))
-        except DegenerateInputError:
-            continue
-
-    evaluation = {}
+    label_corr, evaluation = {}, {}  # none when k = 1: one label is one group
     if model.k >= 2:
+        label_r = _correlations([model.labels, *map(table.column, corr.keys)])[0, 1:]
+        label_corr = dict(zip(corr.keys, map(float, label_r)))
         results = evaluate(table.column(target), model.labels, cfg.alpha)
         evaluation[target] = {name: r.as_dict() for name, r in results.items()}
 

@@ -3,7 +3,6 @@ feature selection."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -13,27 +12,37 @@ from .dataset import HerdTable, canonical_key, describe, scaled
 from .errors import DegenerateInputError, ValidationError
 
 
-def _centred(x: np.ndarray):
-    """`scaled(x)` less its mean, and the sum of squares of that (r is
-    scale-free); None when `x` is constant (min equals max)."""
-    if x.min() == x.max():
-        return None
-    xc = scaled(x)[0]
-    xc -= xc.mean()
-    return xc, float(np.dot(xc, xc))
-
-
-def _r(a, b) -> float:
-    """Product-moment correlation of two `_centred` columns, clipped to
-    [-1, 1]."""
-    if a is None or b is None:
-        raise DegenerateInputError("constant input has no defined correlation")
-    (xc, sx), (yc, sy) = a, b
-    return min(1.0, max(-1.0, float(np.dot(xc, yc)) / math.sqrt(sx * sy)))
+def _correlations(cols, keys: Sequence[str] | None = None) -> np.ndarray:
+    """Pearson correlations of equal-length 1-d `cols`, clipped to [-1, 1].
+    Each column is `scaled` (r is scale-free) and centred once, as a row of
+    a contiguous (d, n) array, and each sum of products is a pairwise
+    `np.add.reduce` over one row pair, so a pair's r does not depend on the
+    other columns or on the BLAS kernel. NaN or inf is a ValidationError;
+    DegenerateInputError names, by `keys`, the first pair in matrix order
+    with a constant column (min equals max)."""
+    c = np.array(cols, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValidationError("non-finite values have no defined correlation")
+    d = len(c)
+    constant = np.flatnonzero(c.min(axis=1) == c.max(axis=1))
+    if d > 1 and constant.size:
+        why = "constant input has no defined correlation"
+        if keys:
+            why = f"correlation undefined for pair ({keys[0]}, {keys[max(constant[0], 1)]}): {why}"
+        raise DegenerateInputError(why)
+    c = np.ascontiguousarray(scaled(c.T)[0].T)
+    c -= c.mean(axis=1, keepdims=True)
+    ss = np.add.reduce(c * c, axis=1)
+    r = np.eye(d)
+    for i in range(d - 1):
+        r[i, i + 1:] = r[i + 1:, i] = (np.add.reduce(c[i] * c[i + 1:], axis=1)
+                                       / np.sqrt(ss[i] * ss[i + 1:]))
+    return np.clip(r, -1.0, 1.0, out=r)
 
 
 def pearson_r(x, y) -> float:
-    """Product-moment correlation coefficient, clipped to [-1, 1]."""
+    """Product-moment correlation coefficient, clipped to [-1, 1]: the
+    two-column case of `correlation_matrix`."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -42,7 +51,7 @@ def pearson_r(x, y) -> float:
         )
     if x.size < 2:
         raise ValidationError("need at least 2 observations")
-    return _r(_centred(x), _centred(y))
+    return float(_correlations([x, y])[0, 1])
 
 
 @dataclass(frozen=True)
@@ -57,20 +66,10 @@ class CorrelationMatrix:
 
 
 def correlation_matrix(table: HerdTable, keys: Sequence[str] | None = None) -> CorrelationMatrix:
-    """Pairwise Pearson correlations; each column is centred once and each
-    pair computed once, so the result is exactly symmetric."""
+    """Pairwise Pearson correlations, exactly symmetric; each pair's r is
+    `pearson_r` of its two columns, bit for bit."""
     keys = tuple(table.keys if keys is None else (canonical_key(k) for k in keys))
-    cols = [_centred(table.column(k)) for k in keys]
-    n = len(keys)
-    r = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                r[i, j] = r[j, i] = _r(cols[i], cols[j])
-            except DegenerateInputError as exc:
-                raise DegenerateInputError(
-                    f"correlation undefined for pair ({keys[i]}, {keys[j]}): {exc}"
-                ) from None
+    r = _correlations([table.column(k) for k in keys], keys) if keys else np.eye(0)
     return CorrelationMatrix(keys, r)
 
 

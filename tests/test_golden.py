@@ -2,8 +2,15 @@
 (`make_golden.py` rewrites it, on purpose only)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import herdcluster
 import make_golden
 
 
@@ -69,3 +76,18 @@ def test_moved_fields_folds_indices_and_reports_relative_change():
         "model.centroids[*][*]: 2 moved, largest relative change 0.111",
     ]
     assert moved_fields(old, old) == []
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_manifest_does_not_depend_on_the_blas_kernel(coretype):
+    """The manifest test again, in a child process whose OpenBLAS uses
+    another CPU kernel (set in the child's environment only): no reported
+    value may depend on the kernel's summation order."""
+    src = str(Path(herdcluster.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_bundled_runs_match_manifest"],
+        env=env, capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1])
+    assert child.returncode == 0, child.stdout[-4000:] + child.stderr[-2000:]

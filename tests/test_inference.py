@@ -195,6 +195,9 @@ class TestRegIncBeta:
             reg_inc_beta(1.5, 1, 1)
         with pytest.raises(ValidationError):
             reg_inc_beta(0.5, -1, 1)
+        for a, b in [(math.inf, 2), (2, math.inf)]:  # (0.5, inf, 2) raised NumericalError
+            with pytest.raises(ValidationError, match="positive and finite"):
+                reg_inc_beta(0.5, a, b)
 
     @pytest.mark.parametrize("x, a, b", [(math.nan, 1, 2), (0.5, math.nan, 2), (0.5, 1, math.nan)])
     def test_nan_is_a_validation_error(self, x, a, b):
@@ -232,10 +235,14 @@ class TestFCdf:
         with pytest.raises(ValidationError):
             f_cdf(-0.1, 2, 2)
 
-    @pytest.mark.parametrize("d1, d2", [(0, 2), (2, 0)])
+    @pytest.mark.parametrize("d1, d2", [(0, 2), (2, 0), (2, math.inf), (math.inf, 2)])
     def test_degrees_of_freedom_checked(self, d1, d2):
+        # an infinite d2 once gave 0.0, an infinite d1 a message about x = nan
         with pytest.raises(ValidationError, match="degrees of freedom must be positive"):
             f_cdf(1.0, d1, d2)
+
+    def test_non_integral_degrees_of_freedom(self):
+        assert f_cdf(1.5, 2.5, 7.5) == pytest.approx(stats.f.cdf(1.5, 2.5, 7.5), abs=1e-12)
 
     @pytest.mark.parametrize("x, d1, d2, message", [
         (math.nan, 2, 20, "F statistic must be non-negative"),
@@ -351,6 +358,23 @@ class TestStudentizedRangeCdf:
             studentized_range_cdf(1.0, 3, 0)
         with pytest.raises(ValidationError):
             studentized_range_cdf(-1.0, 3, 10)
+
+    @pytest.mark.parametrize("k, df, message", [
+        (3, math.inf, "degrees of freedom must be positive and finite"),
+        (2.5, 10, "need k >= 2 groups, a whole number"),
+        (math.inf, 10, "need k >= 2 groups, a whole number"),
+    ])
+    def test_infinite_df_and_fractional_k(self, k, df, message):
+        # an infinite df once ran on a NaN grid; these k raised TypeError
+        with pytest.raises(ValidationError, match=message):
+            studentized_range_cdf(1.0, k, df)
+        with pytest.raises(ValidationError, match=message):
+            studentized_range_ppf(0.5, k, df)
+
+    def test_whole_float_k_and_fractional_df(self):
+        assert studentized_range_cdf(3.0, 3.0, 10) == studentized_range_cdf(3.0, 3, 10)
+        assert studentized_range_cdf(3.0, 3, 10.5) == pytest.approx(
+            stats.studentized_range.cdf(3.0, 3, 10.5), abs=1e-9)
 
     @pytest.mark.parametrize("q, k, df, message", [
         (math.nan, 3, 20, "q must be non-negative"),

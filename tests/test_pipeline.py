@@ -1,10 +1,13 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
 import herdcluster
 from herdcluster import (
     KMeansConfig, PipelineConfig, ValidationError, data, kmeans_fit, load_table,
-    order_clusters, run_pipeline, zscore,
+    order_clusters, pearson_r, run_pipeline, zscore,
 )
 from herdcluster import pipeline
 from herdcluster.pipeline import (
@@ -118,6 +121,22 @@ def test_report_scales_by_the_described_moments(cfg, tmp_path):
     assert model["keys"] == doc["selection"]["selected"]
     for key, mean, std in zip(model["keys"], model["means"], model["stds"]):
         assert (mean, std) == (described[key]["mean"], described[key]["std"])
+
+
+@pytest.mark.parametrize("k", [1, 2, 12])
+def test_label_correlation_is_pearson_r_of_the_labels(k, tmp_path, synthetic_table):
+    """Each report.json entry has the bytes of `pearson_r` of the labels and
+    the column; at k = 1 the labels are constant and there are none."""
+    run_pipeline(PipelineConfig.from_preset("dorsum", data.synthetic_path(), k=k,
+                                            output_dir=tmp_path))
+    doc = json.loads((tmp_path / "report.json").read_text())
+    with open(tmp_path / "labels.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["animal_id"] for row in rows] == list(synthetic_table.animal_ids)
+    labels = [int(row["cluster"]) for row in rows]
+    want = {key: pearson_r(labels, synthetic_table.column(key))
+            for key in doc["correlation"]["keys"]} if k >= 2 else {}
+    assert doc["label_correlation"] == want
 
 
 @pytest.mark.parametrize("alpha", [7, 0, 1, -0.1, float("nan")])

@@ -28,15 +28,17 @@ def reference_pearson_r(x, y):
     """`pearson_r` as it was before `correlation_matrix` centred each column
     once, kept as a test-only reference: both columns centred per call, a
     zero sum of squares taken as a constant column, and NumericalError
-    where a sum of squares or their product overflows."""
+    where a sum of squares or their product overflows. Its sums are
+    numpy's pairwise `np.add.reduce`, as the library's are, not `np.dot`,
+    whose order depends on the BLAS kernel."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         xc = x - x.mean()
         yc = y - y.mean()
-        sx = float(np.dot(xc, xc))
-        sy = float(np.dot(yc, yc))
-        sxy = float(np.dot(xc, yc))
+        sx = float(np.add.reduce(xc * xc))
+        sy = float(np.add.reduce(yc * yc))
+        sxy = float(np.add.reduce(xc * yc))
     if sx == 0.0 or sy == 0.0:
         raise DegenerateInputError("constant input has no defined correlation")
     scale = math.sqrt(sx * sy)
@@ -87,6 +89,13 @@ class TestPearsonR:
     def test_constant_input(self):
         with pytest.raises(DegenerateInputError):
             pearson_r([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input(self, bad):
+        # NaN came out as r = -1.0, inf as a RuntimeWarning and NaN
+        with pytest.raises(ValidationError, match="non-finite"):
+            pearson_r([bad, 1.0, 2.0], [1.0, 2.0, 3.0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tiny_columns_match_mpmath(self):
@@ -200,6 +209,35 @@ class TestCorrelationMatrix:
         got = correlation_matrix(t).r
         assert got[~oracle].tobytes() == want[~oracle].tobytes()
         np.testing.assert_allclose(got[oracle], want[oracle], rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(seed=st.integers(0, 2**32 - 1), decimals=st.sampled_from([None, 0, 1]))
+    @settings(max_examples=100, deadline=None)
+    def test_cells_are_pearson_r(self, seed, decimals):
+        """Each cell has the bytes of `pearson_r` of its two columns: the
+        matrix and the two-column case share one kernel."""
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(2, 300)), int(rng.integers(2, 9))
+        X = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e3, 1e150], size=p)
+        if decimals is not None:
+            X = np.round(10.0 * X, decimals)
+        keys = [f"K{j}" for j in range(p)]
+        t = HerdTable(tuple(f"a{i}" for i in range(n)),
+                      {k: X[:, j] for j, k in enumerate(keys)}, {})
+        if any(t.column(k).min() == t.column(k).max() for k in keys):
+            return
+        got = correlation_matrix(t).r
+        want = np.eye(p)
+        for i in range(p):
+            for j in range(p):
+                if i != j:
+                    want[i, j] = pearson_r(t.column(keys[i]), t.column(keys[j]))
+        assert got.tobytes() == want.tobytes()
+
+    def test_fewer_than_two_keys(self, tmp_path):
+        t = table_from_columns(tmp_path, {"A": [1, 2, 3], "C": [5, 5, 5]})
+        assert correlation_matrix(t, []).r.shape == (0, 0)
+        assert correlation_matrix(t, ["C"]).r.tolist() == [[1.0]]  # no pair to name
 
     def test_csv_and_json_export(self, synthetic_table):
         m = correlation_matrix(synthetic_table, ["BW", "DA", "CW"])
