@@ -2,7 +2,10 @@
 
 A herd table is rectangular (animals x measurement columns). Measurement
 keys are canonicalized to uppercase; the grader-score columns S1..S3
-always produce a derived SS column (their per-animal mean).
+always produce a derived SS column (their per-animal mean). Every mean,
+std and sum of squares of a column, or of an animal's scores, comes from
+one kernel, `_moments`: `describe_all`, `zscore`, SS and the correlations
+share it.
 """
 
 from __future__ import annotations
@@ -84,10 +87,6 @@ class HerdTable:
             return self.columns[key]
         except KeyError:
             raise ValidationError(f"unknown measurement key: {key}") from None
-
-    def matrix(self, keys: Sequence[str]) -> np.ndarray:
-        """Animals x len(keys) matrix in the given key order."""
-        return np.column_stack([self.column(k) for k in keys])
 
 
 @dataclass(frozen=True)
@@ -203,10 +202,8 @@ def load_table(path) -> HerdTable:
     provenance = {key: "supplied" for key in keys}
     if all(k in columns for k in GRADER_KEYS):  # SS = mean(S1..S3)
         if DERIVED_SCORE_KEY in columns:
-            raise ValidationError(
-                "SS may not be supplied directly when S1..S3 are present"
-            )
-        columns[DERIVED_SCORE_KEY] = _grader_scores(columns)[3]
+            raise ValidationError("SS may not be supplied directly when S1..S3 are present")
+        columns[DERIVED_SCORE_KEY] = _moments(np.column_stack([columns[k] for k in GRADER_KEYS]))[4]
         provenance[DERIVED_SCORE_KEY] = "derived"
     return HerdTable(tuple(animal_ids), columns, provenance)
 
@@ -216,22 +213,10 @@ def aggregate_scores(table: HerdTable) -> list[ScoreSummary]:
     for key in GRADER_KEYS:
         if key not in table.columns:
             raise ValidationError(f"missing grader column {key}")
-    stacked, xs, e, means = _grader_scores(table.columns)
-    return [
-        ScoreSummary(animal, tuple(scores), float(mean), 0.0 if scores.min() == scores.max()
-                     else unscaled(sd, ei, f"std of animal {animal}'s scores"))
-        for animal, scores, mean, sd, ei
-        in zip(table.animal_ids, stacked.T, means, xs.std(axis=0, ddof=1), e)
-    ]
-
-
-def _grader_scores(columns):
-    """The 3 x n stack of S1..S3, it `scaled` per animal, its exponents and the
-    mean scores (no mean exceeds its largest score, so `np.ldexp` cannot overflow)."""
-    stacked = np.vstack([columns[k] for k in GRADER_KEYS])
-    xs, e = scaled(stacked)
-    means = np.ldexp(xs.mean(axis=0), e)  # 3 x 0.1 has the mean 0.1 + 2^-56: clipped
-    return stacked, xs, e, np.clip(means, stacked.min(axis=0), stacked.max(axis=0))
+    scores = np.column_stack([table.columns[k] for k in GRADER_KEYS])
+    _, _, _, means, stds = _described(scores, (f"animal {a}'s scores" for a in table.animal_ids))
+    return [ScoreSummary(animal, tuple(row), float(mean), std)
+            for animal, row, mean, std in zip(table.animal_ids, scores, means, stds)]
 
 
 def scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,30 +241,53 @@ def unscaled(v: float, e, what: str) -> float:
     return out
 
 
+def _moments(cols):
+    """The moment kernel over the rows of a new (d, n) stack of the 1-d `cols`:
+    the rows `scaled` by 2^-e and centred; each row's min, max and e; its mean,
+    clipped to [min, max] (23 x 0.1 has the mean 0.1 + 2^-55), which never
+    raises; and its sum of squared deviations, in two passes (Chan, Golub &
+    LeVeque, Amer. Stat. 37(3), 1983). Each sum is a pairwise `np.add.reduce`
+    along one row, so no row's values depend on another's."""
+    c = np.array(cols, dtype=float)
+    lo, hi = c.min(axis=1), c.max(axis=1)
+    e = np.frexp(np.maximum(-lo, hi))[1]  # of max |x|
+    np.ldexp(c, -e[:, None], out=c)
+    m = c.mean(axis=1)
+    c -= m[:, None]
+    # |m| < 1 (no sum of values up to 1 - 2^-53 rounds up to their count), so 2^e m
+    # cannot overflow; + 0.0 makes a zero mean +0.0 whatever the bound it ties
+    mean = np.clip(np.ldexp(m, e), lo, hi) + 0.0
+    return c, lo, hi, e, mean, np.add.reduce(c * c, axis=1)
+
+
+def _described(cols, whats):
+    """`_moments` of `cols` without the rows, each row's sample std (n - 1
+    denominator; 0.0 when min equals max) in place of its sum of squares.
+    The first std past the double range raises, naming its row by `whats`."""
+    _, lo, hi, e, means, ss = _moments(cols)
+    sd = np.sqrt(ss / max(len(cols[0]) - 1, 1))
+    return lo, hi, e, means, [0.0 if l == h else unscaled(s, ei, f"std of {what}")
+                              for l, h, s, ei, what in zip(lo, hi, sd, e, whats)]
+
+
 def describe(table: HerdTable, key) -> DescriptiveStats:
-    """Summary statistics for one column: sample std (n-1 denominator; 0.0
-    when min equals max), quantiles by linear interpolation."""
-    x = table.column(key)
-    xs, e = scaled(x)
-    lo, hi = float(np.min(x)), float(np.max(x))
-    # 23 x 0.1 has the mean 0.1 + 2^-55: clipped
-    mean = min(max(unscaled(np.mean(xs), e, f"mean of column {key}"), lo), hi)
-    std = 0.0 if lo == hi else unscaled(np.std(xs, ddof=1), e, f"std of column {key}")
+    """`describe_all` of one column."""
+    return describe_all(table, [key])[0]
+
+
+def describe_all(table: HerdTable, keys: Sequence[str] | None = None) -> list[DescriptiveStats]:
+    """Summary statistics of every column, or of `keys` in their order:
+    sample std (n-1 denominator; 0.0 when min equals max), quantiles by
+    linear interpolation. A pass over no keys returns []."""
+    keys = tuple(table.keys if keys is None else (canonical_key(k) for k in keys))
+    if not keys:
+        return []
+    cols = [table.column(k) for k in keys]
+    lo, hi, e, means, stds = _described(cols, (f"column {k}" for k in keys))
     # numpy interpolates as a + t(b - a), and b - a overflows only once max |x|
     # reaches 2^1023; halving such a column is exact for its normal values
-    half = max(0, e - 1023)
-    q25, q50, q75 = np.ldexp(np.quantile(np.ldexp(x, -half), [0.25, 0.5, 0.75]), half)
-    return DescriptiveStats(
-        key=canonical_key(key),
-        mean=mean,
-        std=std,
-        min=lo,
-        q25=float(q25),
-        q50=float(q50),
-        q75=float(q75),
-        max=hi,
-    )
-
-
-def describe_all(table: HerdTable) -> list[DescriptiveStats]:
-    return [describe(table, key) for key in table.keys]
+    half = np.maximum(e - 1023, 0)
+    x = np.ldexp(cols, -half[:, None])
+    q = np.ldexp(np.quantile(x, [0.25, 0.5, 0.75], axis=1, overwrite_input=True), half)
+    return [DescriptiveStats(key, float(mean), std, float(a), *map(float, qs), float(b))
+            for key, mean, std, a, qs, b in zip(keys, means, stds, lo, q.T, hi)]

@@ -8,31 +8,27 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import HerdTable, canonical_key, describe, scaled
+from .dataset import HerdTable, _described, _moments, canonical_key
 from .errors import DegenerateInputError, ValidationError
 
 
 def _correlations(cols, keys: Sequence[str] | None = None) -> np.ndarray:
-    """Pearson correlations of equal-length 1-d `cols`, clipped to [-1, 1].
-    Each column is `scaled` (r is scale-free) and centred once, as a row of
-    a contiguous (d, n) array, and each sum of products is a pairwise
-    `np.add.reduce` over one row pair, so a pair's r does not depend on the
-    other columns or on the BLAS kernel. NaN or inf is a ValidationError;
+    """Pearson correlations of equal-length 1-d `cols`, clipped to [-1, 1],
+    from the rows `_moments` scales (r is scale-free) and centres. Each sum of
+    products is a pairwise `np.add.reduce` over one row pair, so no r depends
+    on the other columns or on the BLAS kernel. NaN or inf is a ValidationError;
     DegenerateInputError names, by `keys`, the first pair in matrix order
     with a constant column (min equals max)."""
-    c = np.array(cols, dtype=float)
-    if not np.isfinite(c).all():
+    if not all(np.isfinite(x).all() for x in cols):
         raise ValidationError("non-finite values have no defined correlation")
+    c, lo, hi, _, _, ss = _moments(cols)
     d = len(c)
-    constant = np.flatnonzero(c.min(axis=1) == c.max(axis=1))
+    constant = np.flatnonzero(lo == hi)
     if d > 1 and constant.size:
         why = "constant input has no defined correlation"
         if keys:
             why = f"correlation undefined for pair ({keys[0]}, {keys[max(constant[0], 1)]}): {why}"
         raise DegenerateInputError(why)
-    c = np.ascontiguousarray(scaled(c.T)[0].T)
-    c -= c.mean(axis=1, keepdims=True)
-    ss = np.add.reduce(c * c, axis=1)
     r = np.eye(d)
     for i in range(d - 1):
         r[i, i + 1:] = r[i + 1:, i] = (np.add.reduce(c[i] * c[i + 1:], axis=1)
@@ -133,18 +129,13 @@ def zscore(table: HerdTable, keys: Sequence[str]) -> StandardizedMatrix:
     each column's mean and std as `describe` reports them, taken on the
     `scaled` columns, where no z-score overflows."""
     keys = tuple(canonical_key(k) for k in keys)
-    described = [describe(table, k) for k in keys]
-    bad = [d.key for d in described if d.std == 0.0]
+    if not keys:
+        raise ValidationError("no keys to standardize")
+    cols = [table.column(k) for k in keys]
+    _, _, e, means, stds = _described(cols, (f"column {k}" for k in keys))
+    bad = [k for k, std in zip(keys, stds) if std == 0.0]
     if bad:
         raise DegenerateInputError(f"zero-variance column(s): {', '.join(bad)}")
-    means = np.array([d.mean for d in described])
-    stds = np.array([d.std for d in described])
-    xs, e = scaled(table.matrix(keys))
-    return StandardizedMatrix(
-        keys=keys,
-        animal_ids=table.animal_ids,
-        z=(xs - np.ldexp(means, -e)) / np.ldexp(stds, -e),
-        means=means,
-        stds=stds,
-    )
-
+    stds = np.array(stds)
+    z = (np.ldexp(np.column_stack(cols), -e) - np.ldexp(means, -e)) / np.ldexp(stds, -e)
+    return StandardizedMatrix(keys, table.animal_ids, z, means, stds)
