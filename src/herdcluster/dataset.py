@@ -241,6 +241,21 @@ def unscaled(v: float, e, what: str) -> float:
     return out
 
 
+_BLOCK_CELLS = 1 << 16  # a product block's cells: 512 kB of float64
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`np.add.reduce(x * y, axis=1)` for a 2-d `y` and an `x` of its shape or
+    one row, a block of `_BLOCK_CELLS` at a time: a row's pairwise sum is the
+    same in any block, and no product the size of `y` is made."""
+    out = np.empty(len(y))
+    rows = max(1, _BLOCK_CELLS // y.shape[1])
+    for lo in range(0, len(y), rows):
+        xs = x if x.ndim == 1 else x[lo:lo + rows]
+        np.add.reduce(xs * y[lo:lo + rows], axis=1, out=out[lo:lo + rows])
+    return out
+
+
 def _moments(cols):
     """The moment kernel over the rows of a new (d, n) stack of the 1-d `cols`:
     the rows `scaled` by 2^-e and centred; each row's min, max and e; its mean,
@@ -257,7 +272,7 @@ def _moments(cols):
     # |m| < 1 (no sum of values up to 1 - 2^-53 rounds up to their count), so 2^e m
     # cannot overflow; + 0.0 makes a zero mean +0.0 whatever the bound it ties
     mean = np.clip(np.ldexp(m, e), lo, hi) + 0.0
-    return c, lo, hi, e, mean, np.add.reduce(c * c, axis=1)
+    return c, lo, hi, e, mean, _row_dots(c, c)
 
 
 def _described(cols, whats):
@@ -287,7 +302,8 @@ def describe_all(table: HerdTable, keys: Sequence[str] | None = None) -> list[De
     # numpy interpolates as a + t(b - a), and b - a overflows only once max |x|
     # reaches 2^1023; halving such a column is exact for its normal values
     half = np.maximum(e - 1023, 0)
-    x = np.ldexp(cols, -half[:, None])
+    x = np.array(cols)
+    np.ldexp(x, -half[:, None], out=x)
     q = np.ldexp(np.quantile(x, [0.25, 0.5, 0.75], axis=1, overwrite_input=True), half)
     return [DescriptiveStats(key, float(mean), std, float(a), *map(float, qs), float(b))
             for key, mean, std, a, qs, b in zip(keys, means, stds, lo, q.T, hi)]

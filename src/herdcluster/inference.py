@@ -3,13 +3,17 @@
 The distribution machinery (normal CDF, regularized incomplete beta, F CDF,
 studentized range CDF) is implemented here on `math.lgamma` and numpy array
 handling alone, so the hypothesis tests carry no other numerical dependencies.
+The studentized-range quadrature writes every intermediate into a reused
+`_Workspace`, shared by the calls of one `tukey_hsd` or `studentized_range_ppf`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import sys
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -108,45 +112,66 @@ _ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
            1.20489539808096656605e1, 1.70814450747565897222e1,
            9.60896809063285878198e0, 3.36907645100081516050e0)
 _MAX_EXP_ARG = math.log(sys.float_info.max)  # exp(-x²) is taken as 0 beyond
+_EXP_END = math.nextafter(math.sqrt(_MAX_EXP_ARG), math.inf)  # least x with x·x above it
 
 
-def _poly(coef, x: np.ndarray) -> np.ndarray:
-    y = coef[0] * x + coef[1]
+def _poly(coef, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    y = np.multiply(coef[0], x, out=out)
+    y += coef[1]
     for c in coef[2:]:
         y *= x
         y += c
     return y
 
 
-def _norm_cdf(a: np.ndarray) -> np.ndarray:
+_GATHER_CELLS = 4096  # 32 kB: the largest temporary a region gather makes
+
+
+def _gather(src: np.ndarray, cells: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The values of `src` where `cells` is set, in order, at the head of
+    `out`, which is returned; `_GATHER_CELLS` at a time."""
+    n = 0
+    for lo in range(0, src.size, _GATHER_CELLS):
+        part = src[lo:lo + _GATHER_CELLS][cells[lo:lo + _GATHER_CELLS]]
+        out[n:n + part.size] = part
+        n += part.size
+        del part  # freed before the next chunk's is made
+    return out[:n]
+
+
+def _norm_cdf(a: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Standard normal CDF, Φ(a) = erfc(-a/√2)/2, by rational approximations,
-    each run only on the cells its region's mask gathers. Cells with
-    x² > _MAX_EXP_ARG read 0 (1 for a > 0); NaN reads 0, so callers reject it.
-    Relative error stays below 1e-13 down to a ≈ -37.5, where Φ underflows to 0."""
-    x = a * math.sqrt(0.5)
-    ax = np.minimum(np.abs(x), 27.0)  # keeps the tail polynomials finite
-    x2 = ax * ax
-    cdf = np.zeros_like(x)  # becomes Φ(-|a|) = erfc(|x|)/2 where |x| >= 1
-    for cells, num, den in (((ax >= 1.0) & (ax < 8.0), _ERFC_P, _ERFC_Q),
-                            ((ax >= 8.0) & (x2 <= _MAX_EXP_ARG), _ERFC_R, _ERFC_S)):
-        t = ax[cells]
-        lower = _poly(num, t)
-        lower /= _poly(den, t)
+    each run only on the cells its region's mask gathers, in `ws`'s rows; the
+    result is a view of `ws`. Cells with x² > _MAX_EXP_ARG read 0 (1 for
+    a > 0); NaN reads 0, so callers reject it. Relative error stays below
+    1e-13 down to a ≈ -37.5, where Φ underflows to 0."""
+    x, ax, cdf, t, t2, num, den, cells, scratch = (row[:a.size] for row in ws.floats + ws.masks)
+    np.multiply(a.reshape(-1), math.sqrt(0.5), out=x)
+    np.abs(x, out=ax)
+    cdf.fill(0.0)  # becomes Φ(-|a|) = erfc(|x|)/2 where |x| >= 1
+    for lo, hi, num_coef, den_coef in ((1.0, 8.0, _ERFC_P, _ERFC_Q),
+                                       (8.0, _EXP_END, _ERFC_R, _ERFC_S)):
+        np.greater_equal(ax, lo, out=cells)
+        cells &= np.less(ax, hi, out=scratch)
+        r = _gather(ax, cells, t)
+        lower = _poly(num_coef, r, num[:r.size])
+        lower /= _poly(den_coef, r, den[:r.size])
         lower *= 0.5
-        lower *= np.exp(-x2[cells])
+        e = np.multiply(r, r, out=t2[:r.size])  # x² of the gathered cells
+        lower *= np.exp(np.negative(e, out=e), out=e)
         cdf[cells] = lower
     # one full-array pass: a per-region mask of x > 0 would take a new small
     # size each call, and numpy keeps freed small blocks per size, so RSS creeps
-    np.subtract(1.0, cdf, out=cdf, where=x > 0.0)
-    cells = ax < 1.0
-    t = x2[cells]
-    centre = _poly(_ERF_T, t)  # 1/2 + erf(x)/2
-    centre /= _poly(_ERF_U, t)
-    centre *= x[cells]
+    np.subtract(1.0, cdf, out=cdf, where=np.greater(x, 0.0, out=cells))
+    r = _gather(x, np.less(ax, 1.0, out=cells), t)
+    s = np.multiply(r, r, out=t2[:r.size])  # x·x = |x|·|x|
+    centre = _poly(_ERF_T, s, num[:r.size])  # 1/2 + erf(x)/2
+    centre /= _poly(_ERF_U, s, den[:r.size])
+    centre *= r
     centre *= 0.5
     centre += 0.5
     cdf[cells] = centre
-    return cdf
+    return cdf.reshape(a.shape)
 
 
 def _gauss_legendre(n_nodes: int, edges):
@@ -161,8 +186,21 @@ def _gauss_legendre(n_nodes: int, edges):
 
 
 _OUTER_NODES = 16
+_BLOCK_ROWS = 96  # outer nodes per quadrature block: every df >= 20 in one
 _INNER_NODES, _INNER_PANELS = 20, 8
 _INNER_SPAN = 8.5
+
+
+class _Workspace:
+    """Buffers for `_norm_cdf` and the quadrature over up to `cells` grid
+    cells (one block by default): seven float rows and two mask rows, each
+    its own array. A block's float row, 123 kB, stays under glibc's 128 kB
+    mmap threshold; one array of all of them would be mmapped, and freeing
+    it would raise glibc's mmap and trim thresholds for the whole process."""
+
+    def __init__(self, cells: int = _BLOCK_ROWS * _INNER_NODES * _INNER_PANELS):
+        self.floats = [np.empty(cells) for _ in range(7)]
+        self.masks = [np.empty(cells, dtype=bool) for _ in range(2)]
 
 
 @functools.cache
@@ -172,7 +210,7 @@ def _inner_grid():
     z, zw = _gauss_legendre(
         _INNER_NODES, np.linspace(-_INNER_SPAN, _INNER_SPAN, _INNER_PANELS + 1))
     phi_w = zw * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return z, phi_w, _norm_cdf(z)
+    return z, phi_w, _norm_cdf(z, _Workspace(z.size))
 
 
 @functools.lru_cache(maxsize=64)
@@ -198,6 +236,22 @@ def _outer_grid(df: int):
     return u, w_dens / np.sum(w_dens)
 
 
+_local = threading.local()
+
+
+@contextlib.contextmanager
+def _shared_workspace():
+    """Every `studentized_range_cdf` call on this thread inside the block (or
+    the function it decorates) reuses one `_Workspace`; outside such a block
+    a call makes its own."""
+    outer = getattr(_local, "workspace", None)
+    _local.workspace = outer or _Workspace()
+    try:
+        yield
+    finally:
+        _local.workspace = outer
+
+
 def studentized_range_cdf(q: float, k: int, df: int) -> float:
     """CDF of the studentized range with k groups and df error degrees of
     freedom: outer composite Gauss-Legendre quadrature over the chi-based
@@ -213,18 +267,32 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
 
     u, w_dens = _outer_grid(df)
     z, phi_w, cdf_z = _inner_grid()
-    # inner integral for every outer node at once: P(range <= q*u | u)
-    width = cdf_z[None, :] - _norm_cdf(z[None, :] - (q * u)[:, None])
-    # width^(k-1) by binary powering: `**` with an exponent of 3 or more
-    # gives other bytes on other CPUs, multiplication does not
-    power, n = None, int(k) - 1
-    while n:
-        if n & 1:
-            power = width if power is None else np.multiply(power, width, out=power)
-        n >>= 1
-        if n:
-            width = width * width
-    inner = k * (power * phi_w[None, :]).sum(axis=1)
+    ws = getattr(_local, "workspace", None) or _Workspace()
+    qu = q * u
+    inner = np.empty(u.size)
+    # inner integral P(range <= q*u | u) for a block of outer nodes at once;
+    # each row's cells and sum are the same in any block. numpy buffers an
+    # operand it broadcasts (64 kB a call), so the inner grid is tiled first
+    for lo in range(0, u.size, _BLOCK_ROWS):
+        rows = qu[lo:lo + _BLOCK_ROWS, None]
+        a, tiled = (row[:rows.size * z.size].reshape(rows.size, z.size) for row in ws.floats[:2])
+        np.copyto(a, z)
+        np.copyto(tiled, rows)
+        width = _norm_cdf(np.subtract(a, tiled, out=a), ws)  # `ws`'s third row
+        np.copyto(tiled, cdf_z)
+        np.subtract(tiled, width, out=width)
+        # width^(k-1) by binary powering: `**` with an exponent of 3 or more
+        # gives other bytes on other CPUs, multiplication does not
+        power, n = None, int(k) - 1
+        while n:
+            if n & 1:
+                power = width if power is None else np.multiply(power, width, out=power)
+            n >>= 1
+            if n:  # `a` is free once Φ is taken
+                width = np.multiply(width, width, out=a if power is width else width)
+        np.copyto(tiled, phi_w)
+        np.add.reduce(np.multiply(power, tiled, out=power), axis=1, out=inner[lo:lo + rows.size])
+    inner = k * inner
 
     p = float(np.sum(w_dens * inner))
     return min(1.0, max(0.0, p))
@@ -233,6 +301,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
 _PPF_TOL = 1e-8  # bisection stops at this width relative to max(1, q)
 
 
+@_shared_workspace()
 def studentized_range_ppf(p: float, k: int, df: int) -> float:
     """Inverse studentized range CDF by bisection."""
     if not 0.0 < p < 1.0:
@@ -372,6 +441,7 @@ def one_way_anova(values, labels) -> AnovaResult:
     )
 
 
+@_shared_workspace()
 def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
     """All pairwise comparisons of group means with the studentized range
     correction; unequal group sizes use the Tukey-Kramer standard error."""

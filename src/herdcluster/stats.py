@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataset import HerdTable, _described, _moments, canonical_key
+from .dataset import HerdTable, _described, _moments, _row_dots, canonical_key
 from .errors import DegenerateInputError, ValidationError
 
 
@@ -31,8 +31,7 @@ def _correlations(cols, keys: Sequence[str] | None = None) -> np.ndarray:
         raise DegenerateInputError(why)
     r = np.eye(d)
     for i in range(d - 1):
-        r[i, i + 1:] = r[i + 1:, i] = (np.add.reduce(c[i] * c[i + 1:], axis=1)
-                                       / np.sqrt(ss[i] * ss[i + 1:]))
+        r[i, i + 1:] = r[i + 1:, i] = _row_dots(c[i], c[i + 1:]) / np.sqrt(ss[i] * ss[i + 1:])
     return np.clip(r, -1.0, 1.0, out=r)
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -24,7 +26,6 @@ from herdcluster import (
     tukey_hsd,
 )
 from herdcluster import inference
-from herdcluster.inference import _norm_cdf
 from herdcluster.pipeline import json_text
 
 
@@ -87,16 +88,25 @@ def studentized_range_cdf_oracle(q, k, df):
     return val
 
 
+def _norm_cdf(a):
+    """`inference._norm_cdf` on a workspace of its own."""
+    return inference._norm_cdf(a, inference._Workspace(a.size))
+
+
+def _poly(coef, x):
+    return inference._poly(coef, x, np.empty_like(x))
+
+
 def _norm_cdf_whole_array(a):
     """Reference normal CDF: every Cephes rational over the whole array, each
     region picked with `np.copyto`. `_norm_cdf` must match it bit for bit."""
     x = a * math.sqrt(0.5)
     ax = np.minimum(np.abs(x), 27.0)
     x2 = ax * ax
-    lower = inference._poly(inference._ERFC_P, ax)
-    lower /= inference._poly(inference._ERFC_Q, ax)
-    far = inference._poly(inference._ERFC_R, ax)
-    far /= inference._poly(inference._ERFC_S, ax)
+    lower = _poly(inference._ERFC_P, ax)
+    lower /= _poly(inference._ERFC_Q, ax)
+    far = _poly(inference._ERFC_R, ax)
+    far /= _poly(inference._ERFC_S, ax)
     np.copyto(lower, far, where=ax >= 8.0)
     exp_neg = np.negative(x2, out=far)
     np.copyto(exp_neg, -np.inf, where=x2 > inference._MAX_EXP_ARG)
@@ -104,13 +114,35 @@ def _norm_cdf_whole_array(a):
     lower *= 0.5
     lower *= exp_neg
     cdf = np.subtract(1.0, lower, out=lower, where=x > 0.0)
-    centre = inference._poly(inference._ERF_T, x2)
-    centre /= inference._poly(inference._ERF_U, x2)
+    centre = _poly(inference._ERF_T, x2)
+    centre /= _poly(inference._ERF_U, x2)
     centre *= x
     centre *= 0.5
     centre += 0.5
     np.copyto(cdf, centre, where=ax < 1.0)
     return cdf
+
+
+def _studentized_range_cdf_reference(q, k, df):
+    """Reference quadrature: the whole (outer nodes, inner nodes) grid at
+    once, every intermediate a fresh array, through `_norm_cdf_whole_array`.
+    `studentized_range_cdf` must match it bit for bit."""
+    u, w_dens = inference._outer_grid(df)
+    z, phi_w, _ = inference._inner_grid()
+    width = _norm_cdf_whole_array(z)[None, :] - _norm_cdf_whole_array(z[None, :] - (q * u)[:, None])
+    power, n = None, int(k) - 1
+    while n:
+        if n & 1:
+            power = width if power is None else np.multiply(power, width, out=power)
+        n >>= 1
+        if n:
+            width = width * width
+    inner = k * (power * phi_w[None, :]).sum(axis=1)
+    return min(1.0, max(0.0, float(np.sum(w_dens * inner))))
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64)
 
 
 def _region_edges():
@@ -283,20 +315,21 @@ class TestNormCdf:
         assert got.shape == a.shape
         assert np.array_equal(got.view(np.int64), _norm_cdf_whole_array(a).view(np.int64))
 
+    def test_exp_range_ends_where_the_rounded_square_passes_it(self):
+        # the far region's upper bound on |x| stands for x·x <= _MAX_EXP_ARG
+        end = inference._EXP_END
+        assert end * end > inference._MAX_EXP_ARG
+        below = math.nextafter(end, 0.0)
+        assert below * below <= inference._MAX_EXP_ARG
+
     @pytest.mark.parametrize("df", [1, 3, 11, 20, 500, 1938])
     def test_studentized_range_matches_whole_array_kernel(self, df):
         # the golden manifest has no pair with q > 10; perfbench's median
         # Tukey pair has q near 18, where most cells are in the far tail
-        def cdfs():
-            inference._inner_grid.cache_clear()
-            return np.array([studentized_range_cdf(float(q), k, df) for k in (2, 6, 12, 20)
-                             for q in np.geomspace(0.1, 100.0, 20)])
-
-        got = cdfs()
-        with mock.patch.object(inference, "_norm_cdf", _norm_cdf_whole_array):
-            want = cdfs()
-        inference._inner_grid.cache_clear()
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        cases = [(float(q), k) for k in (2, 6, 12, 20) for q in np.geomspace(0.1, 100.0, 20)]
+        got = [studentized_range_cdf(q, k, df) for q, k in cases]
+        want = [_studentized_range_cdf_reference(q, k, df) for q, k in cases]
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestStudentizedRangeCdf:
@@ -390,6 +423,83 @@ class TestStudentizedRangeCdf:
     def test_inverse_needs_p_inside_unit_interval(self, p):
         with pytest.raises(ValidationError, match=r"p must be in \(0, 1\)"):
             studentized_range_ppf(p, 3, 10)
+
+
+class TestSharedWorkspace:
+    """`tukey_hsd` and `studentized_range_ppf` run their quadratures on one
+    workspace per thread; the bytes must be those of a grid allocated per call."""
+
+    def test_sweep_matches_reference_bit_for_bit(self):
+        # df 1, 2, 3, 5 and 11 take 1,008, 528, 368, 240 and 128 outer nodes:
+        # several blocks, the last one short; one workspace serves every df
+        qs = np.concatenate([np.geomspace(1e-3, 1e3, 60), [0.5, 17.9, 45.0]])
+        cases = [(float(q), k, df)
+                 for df in (1, 2, 3, 5, 11, 19, 20, 57, 500, 1100, 1938, 5000, 100_000)
+                 for k in (2, 3, 4, 6, 7, 12, 20, 33) for q in qs]
+        with inference._shared_workspace():
+            got = [studentized_range_cdf(*case) for case in cases]
+        want = [_studentized_range_cdf_reference(*case) for case in cases]
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("q", [1.0, 5.0, 17.9, 45.0])
+    def test_call_in_open_workspace_allocates_no_grid(self, q):
+        # one (96, 160) float array is 123 kB; the call once peaked at 1.1 MB
+        studentized_range_cdf(q, 12, 1100)  # builds the cached grid
+        with inference._shared_workspace():
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                studentized_range_cdf(q, 12, 1100)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - start < 64_000
+
+    def test_tukey_hsd_releases_its_workspace(self):
+        labels = np.arange(300) % 6
+        values = np.sin(np.arange(300.0)) + 0.2 * labels
+        tukey_hsd(values, labels)  # builds the cached grid
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tukey_hsd(values, labels)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current - start < 64_000
+        assert getattr(inference._local, "workspace", None) is None
+
+    def test_threads_match_serial_runs(self):
+        # df = 5 takes three blocks, the others one; a switch interval of 1 µs
+        # interleaves the threads' numpy calls
+        rng = np.random.default_rng(20)
+        herds = []
+        for groups, n in ((3, 8), (4, 60), (7, 200), (12, 500)):
+            labels = np.arange(n) % groups
+            herds.append((rng.normal(size=n) + 0.5 * labels, labels))
+        serial = [json_text(tukey_hsd(v, g).as_dict()) for v, g in herds]
+        got = [[] for _ in herds]
+
+        def run(i):
+            for _ in range(3):
+                got[i].append(json_text(tukey_hsd(*herds[i]).as_dict()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(herds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[text] * 3 for text in serial]
+
+    def test_ppf_unchanged(self):
+        # the bisection's result before its calls shared a workspace
+        assert studentized_range_ppf(0.95, 3, 20).hex() == "0x1.c9f9c3e000000p+1"
 
 
 class TestOneWayAnova:
