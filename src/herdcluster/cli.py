@@ -11,14 +11,13 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, data
-from .dataset import describe_all, load_table, read_csv, write_text
+from .dataset import describe_all, load_table, read_csv, unique_names, write_text
 from .errors import NumericalError, ValidationError
 from .pipeline import (
     PRESETS, PipelineConfig, correlate, correlation_csv, csv_text, evaluate,
@@ -55,9 +54,11 @@ def _parse_k_range(raw: str) -> tuple[int, int]:
 
 
 def _alpha(raw: str) -> float:
-    with contextlib.suppress(ValueError):  # a non-number gets the same message
+    try:
         if 0.0 < (alpha := float(raw)) < 1.0:  # NaN fails too
             return alpha
+    except ValueError:  # a non-number gets the same message
+        pass
     raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {raw!r}")
 
 
@@ -93,7 +94,7 @@ def cmd_cluster(args) -> int:
 def _read_labels(path, animal_ids) -> np.ndarray:
     """Cluster labels from an `animal_id,cluster` CSV, in `animal_ids` order."""
     records = read_csv(path)
-    header = [name.strip() for name in next(records)[1]]
+    header = unique_names(path, [name.strip() for name in next(records)[1]])
     if "animal_id" not in header or "cluster" not in header:
         raise ValidationError("labels CSV needs animal_id,cluster columns")
     by_animal = {}

@@ -17,17 +17,13 @@ _FIRST_COORD_TIE_TOL = 1e-12
 _BATCH_CELLS = 2**17  # runs x points per Lloyd batch: 1 MB per (runs, n) array
 
 
-def _splitmix64(state: int) -> int:
-    """SplitMix64 finalizer; mixes the master seed with a restart index."""
-    z = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+def restart_seed(seed: int, restart: int) -> int:
+    """Deterministic sub-seed for restart `restart` of master seed `seed`:
+    the SplitMix64 finalizer of `seed ^ restart`."""
+    z = ((seed ^ restart) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return z ^ (z >> 31)
-
-
-def restart_seed(seed: int, restart: int) -> int:
-    """Deterministic sub-seed for restart `restart` of master seed `seed`."""
-    return _splitmix64((seed ^ restart) & 0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -45,6 +41,8 @@ class KMeansConfig:
             raise ValidationError(f"k must be positive, got {self.k}")
         if self.n_restarts < 1:
             raise ValidationError("n_restarts must be positive")
+        if not 0 <= self.seed < 2**64:  # restart seeds would alias outside
+            raise ValidationError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

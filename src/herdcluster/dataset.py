@@ -139,6 +139,14 @@ def read_csv(path) -> Iterator[tuple[int, list[str]]]:
         raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
 
 
+def unique_names(path, names: list[str]) -> list[str]:
+    """A header's column `names`, once checked that none repeats."""
+    dupes = [name for name, count in Counter(names).items() if count > 1]
+    if dupes:
+        raise ValidationError(f"{path}: duplicate column name {', '.join(dupes)}")
+    return names
+
+
 def write_text(path, text: str) -> None:
     """Write `text` to the file at `path` as UTF-8, its newlines untranslated,
     or to stdout when no path is given. Every artifact is written here."""
@@ -172,12 +180,7 @@ def load_table(path) -> HerdTable:
     _, header = next(records)
     if len(header) < 2:
         raise ValidationError(f"{path}: need an id column plus measurements")
-    keys = [canonical_key(name) for name in header[1:]]
-    seen = set()
-    for key in keys:
-        if key in seen:
-            raise ValidationError(f"{path}: duplicate column name {key}")
-        seen.add(key)
+    keys = unique_names(path, [canonical_key(name) for name in header[1:]])
 
     animal_ids: list[str] = []
     data: list[list[float]] = []

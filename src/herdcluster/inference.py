@@ -3,17 +3,15 @@
 The distribution machinery (normal CDF, regularized incomplete beta, F CDF,
 studentized range CDF) is implemented here on `math.lgamma` and numpy array
 handling alone, so the hypothesis tests carry no other numerical dependencies.
-The studentized-range quadrature writes every intermediate into a reused
-`_Workspace`, shared by the calls of one `tukey_hsd` or `studentized_range_ppf`.
+The studentized-range quadrature writes every intermediate into a `_Workspace`
+made by the caller that owns the loop of calls: `tukey_hsd` or `studentized_range_ppf`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -236,26 +234,10 @@ def _outer_grid(df: int):
     return u, w_dens / np.sum(w_dens)
 
 
-_local = threading.local()
-
-
-@contextlib.contextmanager
-def _shared_workspace():
-    """Every `studentized_range_cdf` call on this thread inside the block (or
-    the function it decorates) reuses one `_Workspace`; outside such a block
-    a call makes its own."""
-    outer = getattr(_local, "workspace", None)
-    _local.workspace = outer or _Workspace()
-    try:
-        yield
-    finally:
-        _local.workspace = outer
-
-
-def studentized_range_cdf(q: float, k: int, df: int) -> float:
-    """CDF of the studentized range with k groups and df error degrees of
-    freedom: outer composite Gauss-Legendre quadrature over the chi-based
-    scale factor, inner quadrature over the normal location."""
+def studentized_range_cdf(q: float, k: int, df: int, *, ws: _Workspace | None = None) -> float:
+    """CDF of the studentized range with k groups and df error degrees of freedom:
+    outer composite Gauss-Legendre quadrature over the chi-based scale factor,
+    inner quadrature over the normal location, in `ws` (a new one if not given)."""
     if not (k >= 2 and float(k).is_integer()):  # inf is not an integer
         raise ValidationError(f"need k >= 2 groups, a whole number, got {k}")
     if not 1 <= df < math.inf:
@@ -267,7 +249,7 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
 
     u, w_dens = _outer_grid(df)
     z, phi_w, cdf_z = _inner_grid()
-    ws = getattr(_local, "workspace", None) or _Workspace()
+    ws = ws or _Workspace()
     qu = q * u
     inner = np.empty(u.size)
     # inner integral P(range <= q*u | u) for a block of outer nodes at once;
@@ -301,19 +283,19 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
 _PPF_TOL = 1e-8  # bisection stops at this width relative to max(1, q)
 
 
-@_shared_workspace()
 def studentized_range_ppf(p: float, k: int, df: int) -> float:
     """Inverse studentized range CDF by bisection."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p must be in (0, 1), got {p}")
+    ws = _Workspace()
     lo, hi = 0.0, 1.0
-    while studentized_range_cdf(hi, k, df) < p:
+    while studentized_range_cdf(hi, k, df, ws=ws) < p:
         hi *= 2.0
         if hi > 1e6:
             raise ValidationError("studentized range inverse out of range")
     while hi - lo > _PPF_TOL * max(1.0, hi):
         mid = (lo + hi) / 2.0
-        if studentized_range_cdf(mid, k, df) < p:
+        if studentized_range_cdf(mid, k, df, ws=ws) < p:
             lo = mid
         else:
             hi = mid
@@ -441,7 +423,6 @@ def one_way_anova(values, labels) -> AnovaResult:
     )
 
 
-@_shared_workspace()
 def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
     """All pairwise comparisons of group means with the studentized range
     correction; unequal group sizes use the Tukey-Kramer standard error."""
@@ -456,6 +437,7 @@ def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
     ms_within = ss_within / df_w
     reported_ms = unscaled(ms_within, 2 * e, "within-group mean square")
 
+    ws = _Workspace()
     pairs = []
     for i in range(k):
         for j in range(i + 1, k):
@@ -463,7 +445,7 @@ def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
             diff = float(gb.mean() - ga.mean())
             se = math.sqrt(ms_within / 2.0 * (1.0 / ga.size + 1.0 / gb.size))
             q = abs(diff) / se
-            p_adj = 1.0 - studentized_range_cdf(q, k, df_w)  # cdf is clipped to [0, 1]
+            p_adj = 1.0 - studentized_range_cdf(q, k, df_w, ws=ws)  # cdf is clipped to [0, 1]
             pairs.append(
                 TukeyPair(
                     group_a=group_ids[i], group_b=group_ids[j],

@@ -117,6 +117,16 @@ class TestClusterCommand:
         assert "k override 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "pipeline"])
+    @pytest.mark.parametrize("seed", [-5, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits_rejected(self, command, seed, tmp_path, capsys):
+        # -5 and 2**64 - 5 once wrote the same labels under different seeds
+        path, _ = make_blob_csv(tmp_path)
+        assert main([command, "--input", str(path), "--target", "BW", "--features", "2",
+                     "--seed", str(seed), "--out", str(tmp_path / "out")]) == 2
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_rounding_residue_column_is_not_a_feature(self, tmp_path, capsys):
         # B is 0.1 in every row: constant, so only C is left to select
         path = write_tenth_column_csv(tmp_path / "t.csv")
@@ -180,6 +190,14 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "labels.csv:8" in err and "duplicate animal_id a2" in err
 
+    def test_duplicate_label_column(self, tmp_path, capsys):
+        # the last `cluster` column was once read silently
+        path, _ = make_blob_csv(tmp_path, n=6)
+        rows = [[f"a{i}", 1 + i % 2, 1] for i in range(6)]
+        labels = write_csv(tmp_path / "labels.csv", ["animal_id", "cluster", " cluster"], rows)
+        assert main(["evaluate", "--input", str(path),
+                     "--labels", str(labels), "--target", "BW"]) == 2
+        assert "labels.csv: duplicate column name cluster" in capsys.readouterr().err
 
     def test_labels_with_byte_order_mark(self, tmp_path, capsys):
         # spreadsheet tools save CSVs with a UTF-8 BOM before the header

@@ -168,6 +168,19 @@ class TestKMeansFit:
         assert len(seeds) == 64
         assert restart_seed(42, 0) != 42
 
+    def test_restart_seed_is_splitmix64(self):
+        # 0xe220a8397b1dcdaf is SplitMix64's first output from state 0
+        assert [restart_seed(s, r) for s, r in ((0, 0), (42, 3), (2**64 - 1, 9))] == [
+            0xE220A8397B1DCDAF, 0x118E846EA93BC949, 0xD484A1E7C35A0B13]
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64, 2**64 + 7])
+    def test_seed_outside_64_bits(self, seed):
+        # -5 and 2**64 - 5, or 7 and 2**64 + 7, once drew the same restarts
+        with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            KMeansConfig(k=2, seed=seed)
+        for edge in (0, 2**64 - 1):
+            assert KMeansConfig(k=2, seed=edge).seed == edge
+
 
 def index_order_sq_dists(X, centroids):
     """Squared distances, (n, k), with the features added in index order."""

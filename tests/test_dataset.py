@@ -159,7 +159,12 @@ class TestLoadTable:
         path = write_csv(
             tmp_path / "t.csv", ["animal_id", "CH", "ch"], [["a", 1, 2]]
         )
-        with pytest.raises(ValidationError, match="duplicate column"):
+        with pytest.raises(ValidationError, match="duplicate column name CH$"):
+            load_table(path)
+        path = write_csv(
+            tmp_path / "t.csv", ["animal_id", "RH", "CH", "ch", "rh"], [["a", 1, 2, 3, 4]]
+        )
+        with pytest.raises(ValidationError, match="duplicate column name RH, CH$"):
             load_table(path)
 
     def test_empty_table(self, tmp_path):

@@ -426,8 +426,8 @@ class TestStudentizedRangeCdf:
 
 
 class TestSharedWorkspace:
-    """`tukey_hsd` and `studentized_range_ppf` run their quadratures on one
-    workspace per thread; the bytes must be those of a grid allocated per call."""
+    """`tukey_hsd` and `studentized_range_ppf` hand one workspace to all their
+    quadratures; the bytes must be those of a grid allocated per call."""
 
     def test_sweep_matches_reference_bit_for_bit(self):
         # df 1, 2, 3, 5 and 11 take 1,008, 528, 368, 240 and 128 outer nodes:
@@ -436,8 +436,8 @@ class TestSharedWorkspace:
         cases = [(float(q), k, df)
                  for df in (1, 2, 3, 5, 11, 19, 20, 57, 500, 1100, 1938, 5000, 100_000)
                  for k in (2, 3, 4, 6, 7, 12, 20, 33) for q in qs]
-        with inference._shared_workspace():
-            got = [studentized_range_cdf(*case) for case in cases]
+        ws = inference._Workspace()
+        got = [studentized_range_cdf(*case, ws=ws) for case in cases]
         want = [_studentized_range_cdf_reference(*case) for case in cases]
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -445,14 +445,14 @@ class TestSharedWorkspace:
     def test_call_in_open_workspace_allocates_no_grid(self, q):
         # one (96, 160) float array is 123 kB; the call once peaked at 1.1 MB
         studentized_range_cdf(q, 12, 1100)  # builds the cached grid
-        with inference._shared_workspace():
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                studentized_range_cdf(q, 12, 1100)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        ws = inference._Workspace()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            studentized_range_cdf(q, 12, 1100, ws=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak - start < 64_000
 
     def test_tukey_hsd_releases_its_workspace(self):
@@ -467,7 +467,30 @@ class TestSharedWorkspace:
         finally:
             tracemalloc.stop()
         assert current - start < 64_000
-        assert getattr(inference._local, "workspace", None) is None
+
+    @staticmethod
+    def _workspaces_made(call) -> int:
+        inference._inner_grid()  # cached, on a workspace of its own
+        with mock.patch.object(inference, "_Workspace", wraps=inference._Workspace) as made:
+            call()
+        return made.call_count
+
+    @pytest.mark.parametrize("groups", [4, 12])
+    def test_one_workspace_per_tukey_hsd(self, groups):
+        # 6 and 66 pairs, each pair one quadrature
+        labels = np.arange(240) % groups
+        values = np.sin(np.arange(240.0)) + 0.2 * labels
+        assert len(tukey_hsd(values, labels).pairs) == groups * (groups - 1) // 2
+        assert self._workspaces_made(lambda: tukey_hsd(values, labels)) == 1
+
+    def test_one_workspace_per_ppf(self):
+        assert self._workspaces_made(lambda: studentized_range_ppf(0.95, 3, 20)) == 1
+
+    def test_no_workspace_for_degenerate_groups(self):
+        def call():
+            with pytest.raises(DegenerateInputError):
+                tukey_hsd([1, 1, 2, 2], [1, 1, 2, 2])
+        assert self._workspaces_made(call) == 0
 
     def test_threads_match_serial_runs(self):
         # df = 5 takes three blocks, the others one; a switch interval of 1 µs
