@@ -14,14 +14,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, data
-from .dataset import describe_all, load_table, read_csv, unique_names, write_text
+from .dataset import describe_all, load_table, write_text
 from .errors import NumericalError, ValidationError
 from .pipeline import (
-    PRESETS, PipelineConfig, correlate, correlation_csv, csv_text, evaluate,
-    fit_model, json_text, run_pipeline, scan_k, select_for_target, write_model,
+    PRESETS, PipelineConfig, correlate, correlation_csv, csv_text, evaluate, fit_model,
+    json_text, read_labels, run_pipeline, scan_k, select_for_target, write_model,
 )
 from .stats import zscore
 
@@ -91,35 +89,9 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _read_labels(path, animal_ids) -> np.ndarray:
-    """Cluster labels from an `animal_id,cluster` CSV, in `animal_ids` order."""
-    records = read_csv(path)
-    header = unique_names(path, [name.strip() for name in next(records)[1]])
-    if "animal_id" not in header or "cluster" not in header:
-        raise ValidationError("labels CSV needs animal_id,cluster columns")
-    by_animal = {}
-    for lineno, rec in records:
-        row = dict(zip(header, rec))
-        animal = row["animal_id"].strip()
-        try:
-            label = np.int64(row["cluster"])
-        except (ValueError, OverflowError):
-            raise ValidationError(
-                f"{path}:{lineno}: cluster {row['cluster']!r} is not a 64-bit integer"
-            ) from None
-        if animal in by_animal:
-            raise ValidationError(f"{path}:{lineno}: duplicate animal_id {animal}")
-        by_animal[animal] = label
-    try:
-        return np.array([by_animal[a] for a in animal_ids])
-    except KeyError as exc:
-        raise ValidationError(f"labels missing animal {exc.args[0]}") from None
-
-
 def cmd_evaluate(args) -> int:
     table = load_table(_resolve_input(args.input))
-    labels = _read_labels(args.labels, table.animal_ids)
-
+    labels = read_labels(args.labels, table.animal_ids)
     results = evaluate(table.column(args.target), labels, args.alpha)
     anova = results["anova"]
     print(

@@ -11,7 +11,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, integer
 
 _FIRST_COORD_TIE_TOL = 1e-12
 _BATCH_CELLS = 2**17  # runs x points per Lloyd batch: 1 MB per (runs, n) array
@@ -37,6 +37,8 @@ class KMeansConfig:
     init: ClassVar[str] = "kmeanspp"
 
     def __post_init__(self):
+        for name in ("k", "n_restarts", "seed"):  # plain ints: numpy's overflow in restart_seed
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.k < 1:
             raise ValidationError(f"k must be positive, got {self.k}")
         if self.n_restarts < 1:
@@ -309,7 +311,7 @@ def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
     """Distortion (best-restart inertia) for every k in the inclusive
     range, with knee detection."""
     X = _as_points(z)
-    lo, hi = int(k_range[0]), int(k_range[1])
+    lo, hi = (integer(end, "k range end") for end in k_range)
     if lo > hi:
         raise ValidationError(f"empty k range [{lo}, {hi}]")
     if lo < 1 or hi > X.shape[0]:

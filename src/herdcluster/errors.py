@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and its one integer check."""
+
+import operator
 
 
 class HerdClusterError(Exception):
@@ -16,3 +18,12 @@ class DegenerateInputError(ValidationError):
 
 class NumericalError(HerdClusterError):
     """A numerical routine failed to meet its contract (CLI exit code 3)."""
+
+
+def integer(value, name: str) -> int:
+    """`value` as a plain int, through `operator.index`: numpy integers pass,
+    floats (2.0 too) do not. ValidationError naming `name` otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None

@@ -354,11 +354,28 @@ class TukeyResult:
         return "\n".join(lines)
 
 
+def _int64_labels(labels) -> np.ndarray:
+    """`labels` as int64; ValidationError unless each is a whole number within
+    int64. A whole-valued float counts (2.0 is label 2); 1.5, 1e30 and NaN do not."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind in "biu":
+        whole = labels.dtype.kind != "u" or np.all(labels < 2**63)
+    else:
+        try:
+            x = labels.astype(float)
+        except (TypeError, ValueError):  # not numbers at all
+            x = np.array(math.nan)
+        whole = np.all((x >= -2.0**63) & (x < 2.0**63) & (np.floor(x) == x))
+    if not whole:
+        raise ValidationError("labels must be whole numbers within int64")
+    return labels.astype(np.int64, copy=False)
+
+
 def _by_label(values, labels):
     """`scaled` values and their exponent, the sorted label ids and each label's
     scaled values: F, q and chart positions are scale-free, and their squares' sums finite."""
     values = np.asarray(values, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = _int64_labels(labels)
     if values.shape != labels.shape or values.ndim != 1:
         raise ValidationError("values and labels must be 1-d and equal length")
     if not np.all(np.isfinite(values)):
@@ -369,23 +386,20 @@ def _by_label(values, labels):
 
 
 def _grouped(values, labels):
-    """`_by_label`, for at least 2 groups and more observations than groups."""
+    """`_by_label`'s count, exponent, ids and groups, for at least 2 groups and more
+    observations than groups, with each group's mean (taken once, here), the grand
+    mean and the between-group, within-group and total sums of squares, all scaled."""
     values, e, group_ids, groups = _by_label(values, labels)
     if len(groups) < 2:
         raise ValidationError("need at least 2 groups")
     if values.size <= len(groups):
         raise ValidationError("need more observations than groups")
-    return values, e, group_ids, groups
-
-
-def _sums_of_squares(values, groups):
-    """Grand mean and the between-group, within-group and total sums of
-    squares."""
+    means = [g.mean() for g in groups]
     grand = float(values.mean())
-    ss_between = float(sum(g.size * (g.mean() - grand) ** 2 for g in groups))
-    ss_within = float(sum(((g - g.mean()) ** 2).sum() for g in groups))
+    ss_between = float(sum(g.size * (m - grand) ** 2 for g, m in zip(groups, means)))
+    ss_within = float(sum(((g - m) ** 2).sum() for g, m in zip(groups, means)))
     ss_total = float(((values - grand) ** 2).sum())
-    return grand, ss_between, ss_within, ss_total
+    return values.size, e, group_ids, groups, means, grand, ss_between, ss_within, ss_total
 
 
 def _negligible(ss, ss_total):
@@ -397,12 +411,11 @@ def one_way_anova(values, labels) -> AnovaResult:
     """F test for equality of group means; groups are the distinct label
     values. Zero within-group variance yields a flagged degenerate result
     rather than an infinite statistic."""
-    values, e, group_ids, groups = _grouped(values, labels)
-    k, n = len(groups), values.size
-    grand, ss_between, ss_within, ss_total = _sums_of_squares(values, groups)
+    n, e, _, groups, means, grand, ss_between, ss_within, ss_total = _grouped(values, labels)
+    k = len(groups)
     grand = unscaled(grand, e, "grand mean")
     df_b, df_w = k - 1, n - k
-    means = tuple(unscaled(g.mean(), e, "group mean") for g in groups)
+    means = tuple(unscaled(m, e, "group mean") for m in means)
 
     if _negligible(ss_within, ss_total):
         return AnovaResult(
@@ -428,9 +441,8 @@ def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
     correction; unequal group sizes use the Tukey-Kramer standard error."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
-    values, e, group_ids, groups = _grouped(values, labels)
-    k, n = len(groups), values.size
-    _, _, ss_within, ss_total = _sums_of_squares(values, groups)
+    n, e, group_ids, groups, means, _, _, ss_within, ss_total = _grouped(values, labels)
+    k = len(groups)
     df_w = n - k
     if _negligible(ss_within, ss_total):
         raise DegenerateInputError("zero within-group variance")
@@ -441,9 +453,8 @@ def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:
     pairs = []
     for i in range(k):
         for j in range(i + 1, k):
-            ga, gb = groups[i], groups[j]
-            diff = float(gb.mean() - ga.mean())
-            se = math.sqrt(ms_within / 2.0 * (1.0 / ga.size + 1.0 / gb.size))
+            diff = float(means[j] - means[i])
+            se = math.sqrt(ms_within / 2.0 * (1.0 / groups[i].size + 1.0 / groups[j].size))
             q = abs(diff) / se
             p_adj = 1.0 - studentized_range_cdf(q, k, df_w, ws=ws)  # cdf is clipped to [0, 1]
             pairs.append(

@@ -1,8 +1,9 @@
 """Batch pipeline: describe -> correlate -> select -> standardize ->
 elbow -> cluster -> order -> evaluate, with all artifacts written to an
 output directory. Its stages (`correlate`, `select_for_target`, `scan_k`,
-`fit_model`, `write_model`, `evaluate`) also make up the CLI commands, and
-every JSON and CSV output is formatted here, by `json_text` and `csv_text`."""
+`fit_model`, `write_model`, `read_labels`, `evaluate`) also make up the CLI
+commands, and every JSON and CSV output is formatted here, by `json_text` and
+`csv_text`."""
 
 from __future__ import annotations
 
@@ -20,8 +21,10 @@ from .clustering import (
     ElbowResult, KMeansConfig, KMeansModel, elbow_scan, kmeans_fit, order_clusters,
 )
 from .charts import emit_boxplot_svg, emit_elbow_svg, emit_scatter_svg
-from .dataset import HerdTable, canonical_key, describe_all, load_table, write_text
-from .errors import ValidationError
+from .dataset import (
+    HerdTable, canonical_key, describe_all, load_table, read_csv, unique_names, write_text,
+)
+from .errors import ValidationError, integer
 from .inference import one_way_anova, tukey_hsd
 from .stats import (
     CorrelationMatrix, FeatureSelection, StandardizedMatrix, _correlations,
@@ -132,7 +135,7 @@ def select_for_target(table: HerdTable, target: str, count: int,
 
 def scan_k(z: StandardizedMatrix, k_range: tuple[int, int], seed: int) -> ElbowResult:
     """Elbow scan over `k_range`, its upper end clipped to the herd size."""
-    lo, hi = k_range
+    lo, hi = (integer(end, "k range end") for end in k_range)  # before clipping hides a 4.7
     n = len(z.animal_ids)  # elbow_scan sets k per fit and reads only the seed
     if not 1 <= lo <= n:  # checked here, so that the message names the range as given
         raise ValidationError(f"k range [{lo}, {hi}] must start in [1, {n}], the herd size")
@@ -176,6 +179,32 @@ def write_model(out, z: StandardizedMatrix, model: KMeansModel) -> list[str]:
     for name, text in files.items():
         write_text(Path(out) / name, text)
     return list(files)
+
+
+def read_labels(path, animal_ids) -> np.ndarray:
+    """Cluster labels from an `animal_id,cluster` CSV, as `write_model` writes
+    labels.csv, in `animal_ids` order; other columns are ignored."""
+    records = read_csv(path)
+    header = unique_names(path, [name.strip() for name in next(records)[1]])
+    if "animal_id" not in header or "cluster" not in header:
+        raise ValidationError("labels CSV needs animal_id,cluster columns")
+    at_id, at_cluster = header.index("animal_id"), header.index("cluster")
+    by_animal = {}
+    for lineno, rec in records:
+        animal, cell = rec[at_id].strip(), rec[at_cluster]
+        try:
+            label = np.int64(cell)
+        except (ValueError, OverflowError):
+            raise ValidationError(
+                f"{path}:{lineno}: cluster {cell!r} is not a 64-bit integer"
+            ) from None
+        if animal in by_animal:
+            raise ValidationError(f"{path}:{lineno}: duplicate animal_id {animal}")
+        by_animal[animal] = label
+    try:
+        return np.array([by_animal[a] for a in animal_ids])
+    except KeyError as exc:
+        raise ValidationError(f"labels missing animal {exc.args[0]}") from None
 
 
 def evaluate(values, labels, alpha: float) -> dict:

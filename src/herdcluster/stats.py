@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import HerdTable, _described, _moments, _row_dots, canonical_key
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, ValidationError, integer
 
 
 def _correlations(cols, keys: Sequence[str] | None = None) -> np.ndarray:
@@ -92,7 +92,7 @@ def select_features(
     target = canonical_key(target)
     if target not in m.keys:
         raise ValidationError(f"target {target} not in correlation matrix")
-    if count < 1:
+    if (count := integer(count, "count")) < 1:
         raise ValidationError("count must be positive")
     excluded = {canonical_key(k) for k in exclude}
     t = m.keys.index(target)

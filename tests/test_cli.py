@@ -228,13 +228,16 @@ class TestEvaluateCommand:
         padded_ids.write_text("\n".join(rows[:1] + [f" {r.replace(',', ' ,')}" for r in rows[1:]]))
         padded_header = tmp_path / "padded_header.csv"
         padded_header.write_text("\n".join(["animal_id, cluster", *rows[1:]]))
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("\n".join(["cluster,note,animal_id"] + [
+            f"{c},x,{a}" for a, c in (r.split(",") for r in rows[1:])]))
         capsys.readouterr()
         stdout = []
-        for labels in (plain, padded_ids, padded_header):
+        for labels in (plain, padded_ids, padded_header, reordered):
             assert main(["evaluate", "--input", str(path),
                          "--labels", str(labels), "--target", "BW"]) == 0
             stdout.append(capsys.readouterr().out)
-        assert stdout[0] == stdout[1] == stdout[2]
+        assert stdout[0] == stdout[1] == stdout[2] == stdout[3]
 
     def test_duplicate_after_stripping(self, tmp_path, capsys):
         path, _ = make_blob_csv(tmp_path, n=6)

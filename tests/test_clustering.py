@@ -181,6 +181,26 @@ class TestKMeansFit:
         for edge in (0, 2**64 - 1):
             assert KMeansConfig(k=2, seed=edge).seed == edge
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("k", 2.0), ("n_restarts", 2.5), ("seed", 1.5), ("seed", "3"),
+    ])
+    def test_non_integer_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
+            KMeansConfig(**{"k": 2, field: value})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int32(3)])
+    def test_numpy_integers_give_the_int_model(self, tmp_path, synthetic_table, seed):
+        # np.int64 once overflowed in restart_seed, np.uint64 warned there
+        cfg = KMeansConfig(k=np.int64(3), n_restarts=np.int32(10), seed=seed)
+        assert cfg == KMeansConfig(k=3, seed=3)
+        assert {type(v) for v in (cfg.k, cfg.n_restarts, cfg.seed)} == {int}
+        z = zscore(synthetic_table, ["DA", "CW", "DL"])
+        for name, c in (("numpy", cfg), ("int", KMeansConfig(k=3, seed=3))):
+            write_model(tmp_path / name, z, kmeans_fit(z, c))
+        for name in ("model.json", "labels.csv", "centroids.csv"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
 
 def index_order_sq_dists(X, centroids):
     """Squared distances, (n, k), with the features added in index order."""
@@ -742,6 +762,17 @@ class TestElbowScan:
     def test_empty_range(self, rng):
         with pytest.raises(ValidationError, match="empty"):
             elbow_scan(rng.normal(size=(10, 2)), (5, 3), KMeansConfig(k=1))
+
+    @pytest.mark.parametrize("k_range", [(1, 4.7), (1.5, 4), (1, 4.0), (1, "4")])
+    def test_non_integer_range_end(self, rng, k_range):
+        # (1, 4.7) once scanned k = 1..4
+        with pytest.raises(ValidationError, match="k range end must be an integer"):
+            elbow_scan(rng.normal(size=(10, 2)), k_range, KMeansConfig(k=1))
+
+    def test_numpy_integer_range_ends(self, rng):
+        X = rng.normal(size=(10, 2))
+        elbow = elbow_scan(X, (np.int64(1), np.uint8(3)), KMeansConfig(k=1))
+        assert elbow.k_values == (1, 2, 3) and elbow == elbow_scan(X, (1, 3), KMeansConfig(k=1))
 
     def test_range_outside_n(self, rng):
         with pytest.raises(ValidationError, match="outside"):

@@ -26,6 +26,7 @@ from herdcluster import (
     tukey_hsd,
 )
 from herdcluster import inference
+from herdcluster.charts import emit_boxplot_svg
 from herdcluster.pipeline import json_text
 
 
@@ -123,13 +124,19 @@ def _norm_cdf_whole_array(a):
     return cdf
 
 
-def _studentized_range_cdf_reference(q, k, df):
-    """Reference quadrature: the whole (outer nodes, inner nodes) grid at
-    once, every intermediate a fresh array, through `_norm_cdf_whole_array`.
-    `studentized_range_cdf` must match it bit for bit."""
-    u, w_dens = inference._outer_grid(df)
-    z, phi_w, _ = inference._inner_grid()
-    width = _norm_cdf_whole_array(z)[None, :] - _norm_cdf_whole_array(z[None, :] - (q * u)[:, None])
+def _reference_width(q, df):
+    """The reference's k-independent (outer nodes, inner nodes) grid
+    Φ(z) − Φ(z − qu), through `_norm_cdf_whole_array`."""
+    u, _ = inference._outer_grid(df)
+    z, _, _ = inference._inner_grid()
+    return _norm_cdf_whole_array(z)[None, :] - _norm_cdf_whole_array(z[None, :] - (q * u)[:, None])
+
+
+def _reference_power(width, k, df):
+    """The reference's cdf from a `_reference_width` grid, which the binary
+    powering overwrites: pass each k a copy."""
+    _, w_dens = inference._outer_grid(df)
+    _, phi_w, _ = inference._inner_grid()
     power, n = None, int(k) - 1
     while n:
         if n & 1:
@@ -139,6 +146,13 @@ def _studentized_range_cdf_reference(q, k, df):
             width = width * width
     inner = k * (power * phi_w[None, :]).sum(axis=1)
     return min(1.0, max(0.0, float(np.sum(w_dens * inner))))
+
+
+def _studentized_range_cdf_reference(q, k, df):
+    """Reference quadrature: the whole (outer nodes, inner nodes) grid at
+    once, every intermediate a fresh array, through `_norm_cdf_whole_array`.
+    `studentized_range_cdf` must match it bit for bit."""
+    return _reference_power(_reference_width(q, df), k, df)
 
 
 def _bits(values):
@@ -432,13 +446,20 @@ class TestSharedWorkspace:
     def test_sweep_matches_reference_bit_for_bit(self):
         # df 1, 2, 3, 5 and 11 take 1,008, 528, 368, 240 and 128 outer nodes:
         # several blocks, the last one short; one workspace serves every df
-        qs = np.concatenate([np.geomspace(1e-3, 1e3, 60), [0.5, 17.9, 45.0]])
-        cases = [(float(q), k, df)
-                 for df in (1, 2, 3, 5, 11, 19, 20, 57, 500, 1100, 1938, 5000, 100_000)
-                 for k in (2, 3, 4, 6, 7, 12, 20, 33) for q in qs]
+        # the reference builds each (q, df) width once and powers a copy per k
+        qs = [float(q) for q in np.geomspace(1e-3, 1e3, 60)] + [0.5, 17.9, 45.0]
+        ks = (2, 3, 4, 6, 7, 12, 20, 33)
+        dfs = (1, 2, 3, 5, 11, 19, 20, 57, 500, 1100, 1938, 5000, 100_000)
+        cases = [(q, k, df) for df in dfs for k in ks for q in qs]
         ws = inference._Workspace()
         got = [studentized_range_cdf(*case, ws=ws) for case in cases]
-        want = [_studentized_range_cdf_reference(*case) for case in cases]
+        reference = {}
+        for df in dfs:
+            for q in qs:
+                width = _reference_width(q, df)
+                reference.update({(q, k, df): _reference_power(width.copy(), k, df) for k in ks})
+        want = [reference[case] for case in cases]
+        assert len(want) == 6552
         assert np.array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("q", [1.0, 5.0, 17.9, 45.0])
@@ -569,6 +590,33 @@ class TestOneWayAnova:
         for test in (one_way_anova, tukey_hsd):
             with pytest.raises(ValidationError, match=message):
                 test(values, labels)
+
+    @pytest.mark.parametrize("labels", [
+        [1.2, 1.7, 1.2, 1.7, 2.5, 2.5],  # once cast to 1, 1, 1, 1, 2, 2: df_between 1
+        [1e30] * 3 + [1] * 3,
+        [math.nan] * 3 + [1] * 3,
+        [math.inf] * 3 + [1] * 3,
+        [2.0**63] * 3 + [1] * 3,
+        np.array([2**63] * 3 + [1] * 3, dtype=np.uint64),
+        ["a", "a", "a", "b", "b", "b"],
+    ])
+    def test_labels_must_be_whole_int64(self, tmp_path, labels):
+        values = [1, 2, 3, 4, 5, 6]
+        for test in (one_way_anova, tukey_hsd,
+                     lambda v, g: emit_boxplot_svg(v, g, "W", tmp_path / "box.svg")):
+            with pytest.raises(ValidationError, match="labels must be whole numbers within int64"):
+                test(values, labels)
+
+    def test_whole_labels_of_any_numeric_type(self):
+        values = [1, 2, 3, 4, 5, 6]
+        want = one_way_anova(values, [1, 2, 1, 2, 3, 3])
+        assert want.df_between == 2
+        for labels in ([1.0, 2.0, 1.0, 2.0, 3.0, 3.0], np.array([1, 2, 1, 2, 3, 3], dtype=np.uint8)):
+            assert one_way_anova(values, labels) == want
+        edges = [-2**63] * 3 + [2**63 - 1] * 3
+        assert one_way_anova(values, edges).df_between == 1
+        assert one_way_anova(values, np.array(edges[3:] + [0] * 3, dtype=np.uint64)).df_between == 1
+        assert one_way_anova(values, [-2.0**63] * 3 + [0.0] * 3).df_between == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_values_match_mpmath(self):

@@ -11,7 +11,7 @@ from herdcluster import (
 )
 from herdcluster import pipeline
 from herdcluster.pipeline import (
-    correlate, csv_text, evaluate, fit_model, json_text, scan_k, write_model,
+    correlate, csv_text, evaluate, fit_model, json_text, read_labels, scan_k, write_model,
 )
 
 from conftest import write_csv
@@ -33,6 +33,14 @@ def test_scan_k_clips_to_herd_size(z):
     elbow = scan_k(z, (1, n + 50), 4)
     assert elbow.k_values[-1] == n
     assert {m.config.seed for m in elbow.models} == {4}
+
+
+def test_scan_k_checks_integer_range_ends(z):
+    # a non-integer end past the herd size is not clipped into a valid range
+    n = len(z.animal_ids)
+    for k_range in ((1, n + 0.5), (1, 4.7), (1.0, 4)):
+        with pytest.raises(ValidationError, match="k range end must be an integer"):
+            scan_k(z, k_range, 0)
 
 
 def test_fit_model_reuses_the_elbow_fit(z, monkeypatch):
@@ -98,6 +106,17 @@ def test_write_model_files(tmp_path, synthetic_table, z):
     assert (out / "model.json").read_text() == json_text({
         "keys": ["DA", "CW", "DL"], "means": z.means.tolist(), "stds": z.stds.tolist(),
         **model.as_dict()})
+
+
+def test_read_labels_reads_back_write_model(tmp_path, synthetic_table, z):
+    model = fit_model(z, 3, None, 0)
+    write_model(tmp_path, z, model)
+    ids = synthetic_table.animal_ids
+    got = read_labels(tmp_path / "labels.csv", ids)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, model.labels)
+    np.testing.assert_array_equal(read_labels(tmp_path / "labels.csv", ids[::-1]),
+                                  model.labels[::-1])
 
 
 def test_evaluate_skips_tukey_only_when_anova_is_degenerate():

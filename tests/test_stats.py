@@ -284,6 +284,10 @@ class TestSelectFeatures:
         sel = select_features(m, "BW", count)
         assert set(sel.selected) == set(m.keys) - {"BW"}
 
+    def test_numpy_integer_count(self, synthetic_table):
+        m = correlation_matrix(synthetic_table)
+        assert select_features(m, "BW", np.int64(2)) == select_features(m, "BW", 2)
+
     def test_count_exceeds_candidates(self, synthetic_table):
         m = correlation_matrix(synthetic_table)
         with pytest.raises(ValidationError, match="exceeds"):
@@ -292,6 +296,8 @@ class TestSelectFeatures:
     @pytest.mark.parametrize("target, count, message", [
         ("NOPE", 1, "target NOPE not in correlation matrix"),
         ("BW", 0, "count must be positive"),
+        ("BW", 2.5, "count must be an integer, got 2.5"),
+        ("BW", 2.0, "count must be an integer, got 2.0"),
     ])
     def test_bad_target_or_count(self, synthetic_table, target, count, message):
         with pytest.raises(ValidationError, match=message):
