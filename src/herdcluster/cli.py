@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -139,6 +140,7 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+@functools.cache  # once per process: parse_args leaves no state in it between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="herdcluster",
@@ -191,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, OSError) as exc:  # OSError: an unwritable output path

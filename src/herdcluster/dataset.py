@@ -139,6 +139,47 @@ def read_csv(path) -> Iterator[tuple[int, list[str]]]:
         raise ValidationError(f"{path}: unreadable CSV: {exc}") from None
 
 
+# printable ASCII but the quote, tab and LF: in such a file a record is a line,
+# a cell is what lies between commas, and numpy strips the whitespace that
+# float() and int() strip (it also strips \x1c-\x1f, which int() rejects)
+_BULK_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\t\n"
+
+
+def bulk_csv(path, dtype):
+    """The header, the stripped ids and the other cells as a (records, width - 1)
+    array of `dtype` (float or np.int64), as `read_csv` and float() or
+    np.int64() of each cell give them, parsed by numpy's C reader; or None, and
+    the caller reads the file through `read_csv`, which makes every message.
+    None unless the file, after a UTF-8 BOM and with CRLF as LF, holds only
+    `_BULK_BYTES` in lines within csv's field size limit, each non-blank record
+    has an id and the header's width, and numpy reads each cell as a finite
+    value (it rejects 1_000 and 3_0, which float() and np.int64() take, and
+    takes nan and inf)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read().removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n")
+    except OSError:
+        return None
+    if data.translate(None, _BULK_BYTES):
+        return None
+    lines = data.decode("ascii").split("\n")
+    header, records = lines[0].split(","), [line for line in lines[1:] if line]
+    ids = [rec.partition(",")[0].strip() for rec in records]
+    width = len(header)
+    if (width < 2 or not ids or not all(ids)  # a blank id: the row skipped, or a message
+            or data.count(b",") != (len(ids) + 1) * (width - 1)  # usecols drops extra cells
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        values = np.loadtxt(records, dtype, delimiter=",", comments=None,
+                            usecols=range(1, width), ndmin=2)
+    except ValueError:
+        return None
+    if len(values) != len(ids) or not np.isfinite(values).all():
+        return None
+    return header, ids, values
+
+
 def unique_names(path, names: list[str]) -> list[str]:
     """A header's column `names`, once checked that none repeats."""
     dupes = [name for name, count in Counter(names).items() if count > 1]
@@ -176,15 +217,15 @@ def _parse_cell(raw: str, path, lineno: int, colname: str) -> float:
 def load_table(path) -> HerdTable:
     """Read a wide-format CSV (header row, first column = animal id) into a
     validated HerdTable; every column is kept as a measurement key."""
-    records = read_csv(path)
+    bulk = bulk_csv(path, float)
+    records = iter([(1, bulk[0])]) if bulk else read_csv(path)
     _, header = next(records)
     if len(header) < 2:
         raise ValidationError(f"{path}: need an id column plus measurements")
     keys = unique_names(path, [canonical_key(name) for name in header[1:]])
 
-    animal_ids: list[str] = []
-    data: list[list[float]] = []
-    for lineno, rec in records:
+    animal_ids, data = bulk[1:] if bulk else ([], [])
+    for lineno, rec in records:  # the row path, which makes every message
         animal = rec[0].strip()
         if not animal:
             raise ValidationError(f"{path}:{lineno}: empty animal id")
@@ -200,7 +241,7 @@ def load_table(path) -> HerdTable:
     if not animal_ids:
         raise ValidationError(f"{path}: no data rows")
 
-    arr = np.array(data, dtype=float)
+    arr = np.asarray(data, dtype=float)
     columns = {key: arr[:, i] for i, key in enumerate(keys)}
     provenance = {key: "supplied" for key in keys}
     if all(k in columns for k in GRADER_KEYS):  # SS = mean(S1..S3)

@@ -22,7 +22,8 @@ from .clustering import (
 )
 from .charts import emit_boxplot_svg, emit_elbow_svg, emit_scatter_svg
 from .dataset import (
-    HerdTable, canonical_key, describe_all, load_table, read_csv, unique_names, write_text,
+    HerdTable, bulk_csv, canonical_key, describe_all, load_table, read_csv, unique_names,
+    write_text,
 )
 from .errors import ValidationError, integer
 from .inference import one_way_anova, tukey_hsd
@@ -65,6 +66,12 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:  # NaN fails too
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
+        # plain ints, as KMeansConfig stores them: report.json cannot hold a numpy integer
+        for name, what in (("feature_count", "count"), ("seed", "seed"), ("k", "k")):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, integer(getattr(self, name), what))
+        object.__setattr__(self, "k_range", tuple(integer(end, "k range end")
+                                                  for end in self.k_range))
 
     def as_dict(self) -> dict:
         return {
@@ -184,6 +191,10 @@ def write_model(out, z: StandardizedMatrix, model: KMeansModel) -> list[str]:
 def read_labels(path, animal_ids) -> np.ndarray:
     """Cluster labels from an `animal_id,cluster` CSV, as `write_model` writes
     labels.csv, in `animal_ids` order; other columns are ignored."""
+    bulk = bulk_csv(path, np.int64)  # write_model's own file, in the table's order
+    if (bulk and [name.strip() for name in bulk[0]] == ["animal_id", "cluster"]
+            and bulk[1] == list(animal_ids)):
+        return bulk[2][:, 0]
     records = read_csv(path)
     header = unique_names(path, [name.strip() for name in next(records)[1]])
     if "animal_id" not in header or "cluster" not in header:

@@ -1,8 +1,10 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from herdcluster import data, load_table
+from herdcluster import ValidationError, data, load_table
+from herdcluster.dataset import read_csv
 
 
 def mp_mean_std(x):
@@ -39,6 +41,52 @@ def synthetic_table():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def outcome(fn, *args):
+    """`fn(*args)`, or the message of the ValidationError it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def row_parse(path, parse):
+    """The header, the stripped ids and the other cells, each through `parse`,
+    of a CSV file as `read_csv` reads it: the row path's reading."""
+    records = read_csv(path)
+    header = next(records)[1]
+    recs = [rec for _, rec in records]
+    return header, [rec[0].strip() for rec in recs], np.array(
+        [[parse(cell) for cell in rec[1:]] for rec in recs])
+
+
+@st.composite
+def csv_files(draw, header, ids, cell, oddity):
+    """The bytes of a CSV file, each part drawn from its strategy: a `header`,
+    then a row per id of `ids` with `cell`s, lines ended LF or CRLF, after a
+    BOM or not, in UTF-8 or Latin-1. Some have up to two `oddity` cells, and
+    one line blank, all spaces, a cell short or long, a quoted id, or a bare
+    CR after its id."""
+    header = draw(header)
+    rows = [[a, *(draw(cell) for _ in header[1:])] for a in draw(ids)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(oddity)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    at = draw(st.integers(1, len(lines)))
+    odd = draw(st.sampled_from(["", "", "", "blank", "spaces", "short", "long", "quoted", "cr"]))
+    if odd in ("blank", "spaces"):
+        lines.insert(at, "" if odd == "blank" else " \t ")
+    elif odd and at < len(lines):
+        line = lines[at]
+        lines[at] = {"short": line.rpartition(",")[0], "long": line + ",1",
+                     "quoted": '"' + line.replace(",", '",', 1),
+                     "cr": line.replace(",", ",\r", 1)}[odd]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + text).encode(draw(st.sampled_from(["utf-8", "latin-1"])), errors="replace")
 
 
 def write_csv(path, header, rows):

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from herdcluster.cli import main
+from herdcluster import __version__
+from herdcluster.cli import build_parser, main
 
 from conftest import (
     RISING_ELBOW_HEADER, RISING_ELBOW_ROWS, mp_mean_std, mp_pearson_r, write_csv,
@@ -246,6 +247,47 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--input", str(path),
                      "--labels", str(labels), "--target", "BW"]) == 2
         assert "labels.csv:8: duplicate animal_id a2" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    """main parses every call with one parser per process; parse_args leaves
+    no state in it between calls."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_evaluate_out_is_not_kept(self, tmp_path, capsys):
+        path, _ = make_blob_csv(tmp_path)
+        out = tmp_path / "out"
+        assert main(["cluster", "--input", str(path), "--target", "BW",
+                     "--features", "2", "--k", "3", "--out", str(out)]) == 0
+        result = tmp_path / "eval.json"
+        argv = ["evaluate", "--input", str(path), "--labels", str(out / "labels.csv"),
+                "--target", "BW"]
+        assert main([*argv, "--out", str(result)]) == 0
+        result.unlink()
+        assert main(argv) == 0
+        assert not result.exists()
+
+    def test_each_subcommand_sees_its_own_defaults(self):
+        fresh = build_parser.__wrapped__()
+        for argv in (["pipeline", "--input", "x", "--preset", "dorsum", "--k", "3",
+                      "--seed", "5", "--alpha", "0.1", "--charts", "--out", "o"],
+                     ["describe", "--input", "y"],
+                     ["pipeline", "--input", "x", "--target", "BW"],
+                     ["evaluate", "--input", "x", "--labels", "l", "--target", "BW"],
+                     ["correlate", "--input", "y"]):
+            assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+
+    def test_version_and_argument_errors_exit_as_before(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0 and capsys.readouterr().out == f"{__version__}\n"
+            with pytest.raises(SystemExit) as exc:
+                main(["describe"])
+            assert exc.value.code == 2
+            assert "the following arguments are required: --input" in capsys.readouterr().err
 
 
 class TestTargetChecked:

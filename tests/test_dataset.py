@@ -5,6 +5,7 @@ import math
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -20,9 +21,10 @@ from herdcluster import (
     describe,
     load_table,
 )
-from herdcluster.dataset import _parse_cell, canonical_key
+from herdcluster import dataset
+from herdcluster.dataset import _parse_cell, bulk_csv, canonical_key
 
-from conftest import mp_mean_std, write_csv
+from conftest import csv_files, mp_mean_std, outcome, row_parse, write_csv
 
 # published per-animal (mean, std) rows of the grader-score table
 TABLE3 = [
@@ -199,6 +201,124 @@ class TestLoadTable:
     def test_herd_table_checks(self, ids, columns, message):
         with pytest.raises(ValidationError, match=message):
             HerdTable(ids, columns, {})
+
+
+def table_outcome(path):
+    """load_table's table as plain values, or its message."""
+    table = outcome(load_table, path)
+    if isinstance(table, str):
+        return table
+    columns = {key: table.column(key).tobytes() for key in table.keys}
+    return table.animal_ids, columns, dict(table.provenance)
+
+
+def row_path_outcome(path):
+    """table_outcome with the bulk reader declining: today's row path alone."""
+    with mock.patch.object(dataset, "bulk_csv", return_value=None):
+        return table_outcome(path)
+
+
+class TestBulkParse:
+    """`bulk_csv` only speeds load_table up: it declines, or returns the row
+    path's header, ids and values bit for bit, and every message comes from
+    the row path."""
+
+    @pytest.mark.parametrize("prefix, end", [(b"", b"\n"), (b"\xef\xbb\xbf", b"\r\n")])
+    def test_bulk_path_taken_on_lf_and_crlf(self, tmp_path, prefix, end):
+        path = tmp_path / "t.csv"
+        path.write_bytes(prefix + end.join([b"animal_id,CH,S1,S2,S3", b"a,130.5,1,2,4",
+                                            b" b , -0 ,1e-320,2,3", b""]))
+        header, ids, values = bulk_csv(path, float)
+        assert (header, ids) == (["animal_id", "CH", "S1", "S2", "S3"], ["a", "b"])
+        assert np.array_equal(values.view(np.int64),
+                              row_parse(path, float)[2].view(np.int64))
+        with mock.patch.object(dataset, "read_csv", wraps=dataset.read_csv) as spy:
+            assert table_outcome(path) == row_path_outcome(path)
+        assert spy.call_count == 1  # by row_path_outcome alone
+
+    @given(raw=csv_files(
+        header=st.sampled_from([["animal_id", "CH"], ["animal_id", "CH", "RH", "BW"],
+                                ["animal_id", "S1", "S2", "S3"], ["animal_id", "CH", "ch"]]),
+        ids=st.lists(st.sampled_from(["a", "b", "c", " d ", "é", " "]), max_size=5),
+        cell=st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        | st.integers(-999, 999).map(str)
+        | st.sampled_from([" 2.5 ", "-0", "+.5", "5.", "1E3", "1e-400", "\t7"]),
+        oddity=st.sampled_from(["", " ", "1_000", "nan", "-inf", "infinity", "1e999", "0x1",
+                                "\x1c4\x1f", "\x0b5", "\xa06", "١", "x", "1 2", "#3"])
+        | st.text(max_size=4)))
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_parse_matches_row_parse(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(raw)
+            got = bulk_csv(path, float)
+            if got is not None:
+                header, ids, values = row_parse(path, lambda cell: _parse_cell(cell, path, 0, "C"))
+                assert (got[0], got[1]) == (header, ids)
+                assert got[2].shape == values.shape
+                assert np.array_equal(got[2].view(np.int64), values.view(np.int64))
+            assert table_outcome(path) == row_path_outcome(path)
+
+    # one test per input on which numpy's parser and the row path disagree:
+    # each declines, and the row path gives its value or message as before
+    def test_extra_cell_is_not_dropped(self, tmp_path):
+        # usecols=range(1, 3) would parse 1, 2 and drop the 9
+        path = tmp_path / "t.csv"
+        path.write_text("animal_id,CH,RH\na,1,2\nA,1,2,9\n")
+        assert bulk_csv(path, float) is None
+        assert outcome(load_table, path) == f"{path}:3: expected 3 fields, got 4"
+
+    @pytest.mark.parametrize("cell", ["infinity", "nan", "-Infinity", "1e999"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"animal_id,CH,RH\na,1,2\nb,3,{cell}\n")
+        assert bulk_csv(path, float) is None
+        assert outcome(load_table, path) == f"{path}:3: non-finite value in column RH"
+
+    def test_cells_numpy_rejects(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("animal_id,CH,RH\na,1_000,2\nb,\x1c3\x1f,4\n")
+        assert bulk_csv(path, float) is None
+        table = load_table(path)
+        assert table.column("CH").tolist() == [1000.0, 3.0]
+
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("animal_id,CH\na,1\n   \n\t\nb,2\n")
+        assert bulk_csv(path, float) is None
+        table = load_table(path)
+        assert (table.animal_ids, table.column("CH").tolist()) == (("a", "b"), [1.0, 2.0])
+
+    def test_quoted_ids(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('animal_id,CH\n"a,1",5\n"b\nc",6\n')
+        assert bulk_csv(path, float) is None
+        table = load_table(path)
+        assert (table.animal_ids, table.column("CH").tolist()) == (("a,1", "b\nc"), [5.0, 6.0])
+
+    def test_non_utf8_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"animal_id,CH\n\xe9,1\n")
+        assert bulk_csv(path, float) is None
+        assert outcome(load_table, path) == (
+            f"{path}: unreadable CSV: 'utf-8' codec can't decode byte 0xe9 in position 13: "
+            "invalid continuation byte")
+
+    def test_bare_carriage_return(self, tmp_path):
+        # csv ends a record at a lone CR, where numpy strips it from the cell "\r1"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"animal_id,CH\na,\r1\n")
+        assert bulk_csv(path, float) is None
+        assert outcome(load_table, path) == f"{path}:2: missing value in column CH"
+        path.write_bytes(b"animal_id,CH\ra,1\rb,2\r\n")
+        table = load_table(path)
+        assert (table.animal_ids, table.column("CH").tolist()) == (("a", "b"), [1.0, 2.0])
+
+    def test_field_past_csv_limit(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(f"animal_id,CH\na,{'0' * csv.field_size_limit()}1\n")
+        assert bulk_csv(path, float) is None
+        assert outcome(load_table, path).startswith(f"{path}: unreadable CSV: field larger")
 
 
 class TestAggregateScores:

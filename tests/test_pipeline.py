@@ -1,8 +1,13 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import herdcluster
 from herdcluster import (
@@ -11,10 +16,11 @@ from herdcluster import (
 )
 from herdcluster import pipeline
 from herdcluster.pipeline import (
-    correlate, csv_text, evaluate, fit_model, json_text, read_labels, scan_k, write_model,
+    bulk_csv, correlate, csv_text, evaluate, fit_model, json_text, read_labels, scan_k,
+    write_model,
 )
 
-from conftest import write_csv
+from conftest import csv_files, outcome, row_parse, write_csv
 
 
 @pytest.fixture
@@ -119,6 +125,68 @@ def test_read_labels_reads_back_write_model(tmp_path, synthetic_table, z):
                                   model.labels[::-1])
 
 
+def test_read_labels_takes_the_bulk_path_on_write_model_labels(tmp_path, synthetic_table, z):
+    model = fit_model(z, 3, None, 0)
+    write_model(tmp_path, z, model)
+    path = tmp_path / "labels.csv"
+    assert path.read_bytes().count(b"\r\n") == len(model.labels) + 1  # csv_text writes CRLF
+    assert bulk_csv(path, np.int64) is not None
+    with mock.patch.object(pipeline, "read_csv", wraps=pipeline.read_csv) as spy:
+        got = read_labels(path, synthetic_table.animal_ids)
+    assert spy.call_count == 0
+    assert got.dtype == np.int64 and got.tolist() == model.labels.tolist()
+
+
+LABEL_IDS = ("a", "b", "c", "d")
+
+
+def labels_outcome(path):
+    """read_labels' labels for LABEL_IDS as (dtype, shape, values), or its message."""
+    got = outcome(read_labels, path, LABEL_IDS)
+    return got if isinstance(got, str) else (got.dtype.str, got.shape, got.tolist())
+
+
+@given(raw=csv_files(
+    header=st.sampled_from([["animal_id", "cluster"], [" animal_id", "cluster "],
+                            ["cluster", "animal_id"], ["animal_id", "cluster", "note"]]),
+    ids=st.just(list(LABEL_IDS)) | st.lists(st.sampled_from([*LABEL_IDS, " a ", "e"]),
+                                            max_size=5),
+    cell=st.integers(-2**63, 2**63 - 1).map(str)
+    | st.sampled_from(["+3", "03", " 7 ", "-0", "\t1"]),
+    oddity=st.sampled_from(["", "3_0", "1.0", "1.5", "9" * 20, "-9223372036854775809",
+                            "\x1c3", "x", "٣", "\xa03", "\x0b2"]) | st.text(max_size=4)))
+@settings(max_examples=300, deadline=None)
+def test_bulk_label_parse_matches_row_parse(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.csv"
+        path.write_bytes(raw)
+        got = bulk_csv(path, np.int64)
+        if got is not None:
+            header, ids, values = row_parse(path, np.int64)
+            assert (got[0], got[1]) == (header, ids)
+            assert got[2].dtype == values.dtype == np.int64
+            assert np.array_equal(got[2], values)
+        with mock.patch.object(pipeline, "bulk_csv", return_value=None):
+            want = labels_outcome(path)
+        assert labels_outcome(path) == want
+
+
+# label files the bulk reader parses or declines, each read as the row path reads it
+@pytest.mark.parametrize("text, want", [
+    ("a,3_0\nb,1\nc,2\nd,1\n", [30, 1, 2, 1]),  # numpy rejects 3_0, np.int64 reads it
+    ("a,\x1c3\nb,1\nc,2\nd,1\n", "{path}:2: cluster '\\x1c3' is not a 64-bit integer"),
+    ("b,1\na,2\nc,3\nd,3\n", [2, 1, 3, 3]),  # out of the table's order
+    ("a,1\nb,2\nb,3\nc,3\nd,1\n", "{path}:4: duplicate animal_id b"),
+    ("a,1\nb,2\nd,2\n", "labels missing animal c"),
+    ("a,1\nb,2\nc,3\nd,3\ne,1\n", [1, 2, 3, 3]),  # an animal the table lacks
+])
+def test_read_labels_traps(tmp_path, text, want):
+    path = tmp_path / "labels.csv"
+    path.write_text("animal_id,cluster\n" + text)
+    got = labels_outcome(path)
+    assert got == (want.format(path=path) if isinstance(want, str) else ("<i8", (4,), want))
+
+
 def test_evaluate_skips_tukey_only_when_anova_is_degenerate():
     full = evaluate([1, 2, 5, 6, 9, 10], [1, 1, 2, 2, 3, 3], 0.05)
     assert list(full) == ["anova", "tukey"] and full["tukey"].alpha == 0.05
@@ -163,6 +231,32 @@ def test_config_rejects_alpha_outside_unit_interval(alpha):
     # k = 1 runs no Tukey test, so nothing later would catch this alpha
     with pytest.raises(ValidationError, match=r"alpha must be in \(0, 1\)"):
         PipelineConfig.from_preset("dorsum", data.synthetic_path(), k=1, alpha=alpha)
+
+
+def test_numpy_integer_config_reports_as_int_config(tmp_path):
+    # report.json once failed to serialize a numpy seed, after the other files
+    written = []
+    for cast in (int, np.int64, np.uint8):
+        run_pipeline(PipelineConfig.from_preset(
+            "dorsum", data.synthetic_path(), feature_count=cast(3), k=cast(3),
+            k_range=(cast(1), cast(8)), seed=cast(3), output_dir=tmp_path))
+        files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        files["report.json"] = b"".join(line for line in files["report.json"].splitlines(True)
+                                        if b'"timestamp"' not in line)
+        written.append(files)
+    assert written[0] == written[1] == written[2]
+    assert len(written[0]) == 5
+
+
+@pytest.mark.parametrize("field, message", [
+    (dict(k=2.0), "k must be an integer, got 2.0"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(feature_count=2.5), "count must be an integer, got 2.5"),
+    (dict(k_range=(1, 4.7)), "k range end must be an integer, got 4.7"),
+])
+def test_config_rejects_non_integer_fields(field, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        PipelineConfig.from_preset("dorsum", data.synthetic_path(), **field)
 
 
 def test_public_names_resolve():
