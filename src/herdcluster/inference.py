@@ -203,12 +203,38 @@ class _Workspace:
 
 @functools.cache
 def _inner_grid():
-    """Inner nodes z, their weights times the normal density, and Φ(z): the
-    inner grid is fixed, so these are computed once."""
+    """Inner nodes z, their weights times the normal density, Φ(z), each node's
+    floor and the largest z - floor, computed once. φ(floor) is ulp(Φ(z))/8 and
+    floor < -8.6, so for a <= floor Φ(a) <= φ(a)/|a| < ulp/64 (Mills' ratio):
+    Φ(z) - Φ(a) rounds to Φ(z), as does Φ(z) - 0."""
     z, zw = _gauss_legendre(
         _INNER_NODES, np.linspace(-_INNER_SPAN, _INNER_SPAN, _INNER_PANELS + 1))
     phi_w = zw * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return z, phi_w, _norm_cdf(z, _Workspace(z.size))
+    cdf_z = _norm_cdf(z, _Workspace(z.size))
+    floor = -np.sqrt(-2.0 * np.log(np.spacing(cdf_z) / 8.0 * math.sqrt(2.0 * math.pi)))
+    return z, phi_w, cdf_z, floor, float(np.max(z - floor))
+
+
+def _power(width: np.ndarray, n: int, spare: np.ndarray) -> np.ndarray:
+    """width^n by binary powering, over `width` and `spare`: `**` with an
+    exponent of 3 or more gives other bytes on other CPUs, multiplication does not."""
+    power = None
+    while n:
+        if n & 1:
+            power = width if power is None else np.multiply(power, width, out=power)
+        n >>= 1
+        if n:
+            width = np.multiply(width, width, out=spare if power is width else width)
+    return power
+
+
+@functools.lru_cache(maxsize=64)
+def _saturated_row(n: int) -> float:
+    """The inner sum of a row whose every cell is skipped, where the width is
+    Φ(z): Σ Φ(z)^n·phi_w, powered and summed as a block's row is."""
+    _, phi_w, cdf_z, _, _ = _inner_grid()
+    power = _power(cdf_z[None, :].copy(), n, np.empty((1, cdf_z.size)))
+    return float(np.add.reduce(np.multiply(power, phi_w, out=power), axis=1)[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -248,30 +274,31 @@ def studentized_range_cdf(q: float, k: int, df: int, *, ws: _Workspace | None = 
         return 0.0
 
     u, w_dens = _outer_grid(df)
-    z, phi_w, cdf_z = _inner_grid()
+    z, phi_w, cdf_z, floor, reach = _inner_grid()
     ws = ws or _Workspace()
     qu = q * u
     inner = np.empty(u.size)
+    # u ascends, so the rows past `live` have q·u > reach: every cell skipped
+    live = int(np.searchsorted(qu, reach, side="right"))
+    inner[live:] = _saturated_row(int(k) - 1)
     # inner integral P(range <= q*u | u) for a block of outer nodes at once;
     # each row's cells and sum are the same in any block. numpy buffers an
     # operand it broadcasts (64 kB a call), so the inner grid is tiled first
-    for lo in range(0, u.size, _BLOCK_ROWS):
-        rows = qu[lo:lo + _BLOCK_ROWS, None]
-        a, tiled = (row[:rows.size * z.size].reshape(rows.size, z.size) for row in ws.floats[:2])
+    for lo in range(0, live, _BLOCK_ROWS):
+        rows = qu[lo:min(lo + _BLOCK_ROWS, live), None]
+        a, tiled, skip = (row[:rows.size * z.size].reshape(rows.size, z.size)
+                          for row in ws.floats[:2] + ws.masks[:1])
         np.copyto(a, z)
         np.copyto(tiled, rows)
-        width = _norm_cdf(np.subtract(a, tiled, out=a), ws)  # `ws`'s third row
+        np.subtract(a, tiled, out=a)
+        # a cell at or below its node's floor is set to -inf, where `_norm_cdf`
+        # gives 0 without running any region on it
+        np.copyto(tiled, floor)
+        np.copyto(a, -np.inf, where=np.less_equal(a, tiled, out=skip))
+        width = _norm_cdf(a, ws)  # `ws`'s third row
         np.copyto(tiled, cdf_z)
         np.subtract(tiled, width, out=width)
-        # width^(k-1) by binary powering: `**` with an exponent of 3 or more
-        # gives other bytes on other CPUs, multiplication does not
-        power, n = None, int(k) - 1
-        while n:
-            if n & 1:
-                power = width if power is None else np.multiply(power, width, out=power)
-            n >>= 1
-            if n:  # `a` is free once Φ is taken
-                width = np.multiply(width, width, out=a if power is width else width)
+        power = _power(width, int(k) - 1, a)  # `a` is free once Φ is taken
         np.copyto(tiled, phi_w)
         np.add.reduce(np.multiply(power, tiled, out=power), axis=1, out=inner[lo:lo + rows.size])
     inner = k * inner

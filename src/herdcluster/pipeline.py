@@ -70,8 +70,10 @@ class PipelineConfig:
         for name, what in (("feature_count", "count"), ("seed", "seed"), ("k", "k")):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, integer(getattr(self, name), what))
-        object.__setattr__(self, "k_range", tuple(integer(end, "k range end")
-                                                  for end in self.k_range))
+        ends = tuple(self.k_range) if np.iterable(self.k_range) else ()
+        if len(ends) != 2:
+            raise ValidationError(f"k_range must be two integers, got {self.k_range!r}")
+        object.__setattr__(self, "k_range", tuple(integer(end, "k range end") for end in ends))
 
     def as_dict(self) -> dict:
         return {

@@ -128,15 +128,14 @@ def _reference_width(q, df):
     """The reference's k-independent (outer nodes, inner nodes) grid
     Φ(z) − Φ(z − qu), through `_norm_cdf_whole_array`."""
     u, _ = inference._outer_grid(df)
-    z, _, _ = inference._inner_grid()
+    z = inference._inner_grid()[0]
     return _norm_cdf_whole_array(z)[None, :] - _norm_cdf_whole_array(z[None, :] - (q * u)[:, None])
 
 
-def _reference_power(width, k, df):
-    """The reference's cdf from a `_reference_width` grid, which the binary
-    powering overwrites: pass each k a copy."""
-    _, w_dens = inference._outer_grid(df)
-    _, phi_w, _ = inference._inner_grid()
+def _reference_rows(width, k):
+    """The reference's inner sums, before the factor k, of a grid of widths,
+    which the binary powering overwrites."""
+    phi_w = inference._inner_grid()[1]
     power, n = None, int(k) - 1
     while n:
         if n & 1:
@@ -144,7 +143,14 @@ def _reference_power(width, k, df):
         n >>= 1
         if n:
             width = width * width
-    inner = k * (power * phi_w[None, :]).sum(axis=1)
+    return (power * phi_w[None, :]).sum(axis=1)
+
+
+def _reference_power(width, k, df):
+    """The reference's cdf from a `_reference_width` grid, which the binary
+    powering overwrites: pass each k a copy."""
+    _, w_dens = inference._outer_grid(df)
+    inner = k * _reference_rows(width, k)
     return min(1.0, max(0.0, float(np.sum(w_dens * inner))))
 
 
@@ -439,6 +445,93 @@ class TestStudentizedRangeCdf:
             studentized_range_ppf(p, 3, 10)
 
 
+# the dfs of the bit-for-bit sweep: 1,008 to 96 outer nodes, 11 blocks to one
+SWEEP_DFS = (1, 2, 3, 5, 11, 19, 20, 57, 500, 1100, 1938, 5000, 100_000)
+
+
+class TestSkippedCells:
+    """A cell at or below its inner node's floor reads Φ = 0 without any
+    `_norm_cdf` region run on it, and the rows past q·u > reach take one
+    constant per k; the bytes must be those of the full grid."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_floor_bound_holds_bit_for_bit(self):
+        _, _, cdf_z, floor, reach = inference._inner_grid()
+        assert floor.size == 160 and np.all(floor <= -8.6)
+        assert np.allclose(np.exp(-0.5 * floor * floor) / math.sqrt(2.0 * math.pi),
+                           np.spacing(cdf_z) / 8.0, rtol=1e-12, atol=0.0)
+        assert 17.0 < reach < 17.2
+        for c, f in zip(cdf_z, floor):
+            # the floor, its two float neighbours either side, then down to -40
+            near = [f, np.nextafter(f, 0.0), np.nextafter(np.nextafter(f, 0.0), 0.0),
+                    np.nextafter(f, -np.inf), np.nextafter(np.nextafter(f, -np.inf), -np.inf)]
+            a = np.concatenate([near, np.linspace(f, -40.0, 20_001)])
+            assert np.array_equal(_bits(c - _norm_cdf(a)), _bits(np.full(a.size, c))), c
+
+    def test_normal_cdf_sees_live_rows_with_skipped_cells_at_minus_inf(self):
+        # the benchmark's median Tukey pair (q = 17.9, df = 1,000): 47 of 96 rows
+        # live, and in them every cell at or below its node's floor reads -inf
+        z, _, _, floor, reach = inference._inner_grid()
+        u, _ = inference._outer_grid(1000)
+        seen, norm_cdf = [], inference._norm_cdf
+        with mock.patch.object(inference, "_norm_cdf",
+                               lambda a, ws: seen.append(a.copy()) or norm_cdf(a, ws)):
+            studentized_range_cdf(17.9, 12, 1000)
+        (a,) = seen
+        assert a.shape == (47, 160) and 17.9 * u[46] <= reach < 17.9 * u[47]
+        grid = z[None, :] - (17.9 * u[:47])[:, None]
+        skipped = grid <= floor
+        assert 0 < skipped.sum() < skipped.size
+        assert np.all(a[skipped] == -np.inf) and np.array_equal(a[~skipped], grid[~skipped])
+
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_saturated_row_matches_block_bit_for_bit(self, k):
+        z, phi_w, cdf_z, floor, reach = inference._inner_grid()
+        # the reference's sums of rows whose width is Φ(z) in every cell
+        want = _reference_rows(np.tile(cdf_z, (3, 1)), k)
+        assert np.array_equal(_bits(want), _bits([inference._saturated_row(k - 1)] * 3))
+        # the kernel's own block, with no row cut, on rows whose cells are all skipped
+        cases = [(q, df) for df in (5, 1100) for q in (18.0, 30.0, 1e3, math.inf)]
+        got = [studentized_range_cdf(q, k, df) for q, df in cases]
+        uncut = (z, phi_w, cdf_z, floor, math.inf)
+        with mock.patch.object(inference, "_inner_grid", return_value=uncut):
+            want = [studentized_range_cdf(q, k, df) for q, df in cases]
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("dfs", [SWEEP_DFS, range(1, 2001)])
+    def test_outer_nodes_ascend(self, dfs):
+        # the row cut relies on it: every row after the first with q·u > reach is cut
+        for df in dfs:
+            u, _ = inference._outer_grid(df)
+            assert np.all(np.diff(u) > 0.0), df
+
+    @pytest.mark.parametrize("df, blocks", [(1, 11), (5, 3), (1100, 1)])
+    def test_row_cut_at_block_edges_matches_reference(self, df, blocks):
+        # q·u crosses reach on the first, a middle or the last row of each block;
+        # the q at which it meets that row exactly and two floats either side
+        u, _ = inference._outer_grid(df)
+        reach = inference._inner_grid()[4]
+        block = inference._BLOCK_ROWS
+        starts = range(0, u.size, block)
+        assert len(starts) == blocks
+        edges = {r for lo in starts for r in (lo, lo + block // 4, min(lo + block, u.size) - 1)}
+        qs = []
+        for r in sorted(edges):
+            q = reach / u[r]
+            qs += [q, *np.nextafter(q, [0.0, np.inf]),
+                   *np.nextafter(np.nextafter(q, [0.0, np.inf]), [0.0, np.inf])]
+        qs = [float(q) for q in qs]
+        # each chosen row is the first row cut for one of them
+        assert edges <= {int(np.searchsorted(q * u, reach, side="right")) for q in qs}
+        ks = (2, 6, 12, 33)
+        got = [studentized_range_cdf(q, k, df) for q in qs for k in ks]
+        want = []
+        for q in qs:
+            width = _reference_width(q, df)
+            want += [_reference_power(width.copy(), k, df) for k in ks]
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 class TestSharedWorkspace:
     """`tukey_hsd` and `studentized_range_ppf` hand one workspace to all their
     quadratures; the bytes must be those of a grid allocated per call."""
@@ -449,7 +542,7 @@ class TestSharedWorkspace:
         # the reference builds each (q, df) width once and powers a copy per k
         qs = [float(q) for q in np.geomspace(1e-3, 1e3, 60)] + [0.5, 17.9, 45.0]
         ks = (2, 3, 4, 6, 7, 12, 20, 33)
-        dfs = (1, 2, 3, 5, 11, 19, 20, 57, 500, 1100, 1938, 5000, 100_000)
+        dfs = SWEEP_DFS
         cases = [(q, k, df) for df in dfs for k in ks for q in qs]
         ws = inference._Workspace()
         got = [studentized_range_cdf(*case, ws=ws) for case in cases]

@@ -259,6 +259,13 @@ def test_config_rejects_non_integer_fields(field, message):
         PipelineConfig.from_preset("dorsum", data.synthetic_path(), **field)
 
 
+@pytest.mark.parametrize("k_range", [(1, 4, 9), (5,), (), 5])
+def test_config_rejects_k_range_not_a_pair(k_range):
+    # (1, 4, 9) was accepted, and run_pipeline then died unpacking it in scan_k
+    with pytest.raises(ValidationError, match=r"^k_range must be two integers, got "):
+        PipelineConfig.from_preset("dorsum", data.synthetic_path(), k_range=k_range)
+
+
 def test_public_names_resolve():
     assert all(hasattr(herdcluster, name) for name in herdcluster.__all__)
     namespace = {}
