@@ -5,7 +5,6 @@ restart; elbow-based k selection and centroid-sorted cluster numbering
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar, Sequence
 
@@ -13,7 +12,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, integer
 
-_FIRST_COORD_TIE_TOL = 1e-12
 _BATCH_CELLS = 2**17  # runs x points per Lloyd batch: 1 MB per (runs, n) array
 
 
@@ -206,26 +204,13 @@ def _model(cfg: KMeansConfig, centroids, labels, inertia, history) -> KMeansMode
                        config=cfg, inertia_history=tuple(history))
 
 
-def _centroid_cmp(a, b) -> int:
-    """Lexicographic centroid comparison with a tolerance on each
-    coordinate; exact ties fall through to the original index."""
-    for va, vb in zip(a[1], b[1]):
-        if abs(va - vb) > _FIRST_COORD_TIE_TOL:
-            return -1 if va < vb else 1
-    return a[0] - b[0]
-
-
 def order_clusters(model: KMeansModel) -> KMeansModel:
-    """Renumber clusters 1..k ascending by first centroid coordinate
-    (ties: next coordinates, then original index). Partition and inertia
-    are untouched; idempotent."""
-    order = sorted(
-        enumerate(model.centroids), key=functools.cmp_to_key(_centroid_cmp)
-    )
-    perm = [idx for idx, _ in order]               # new position -> old index
+    """Renumber clusters 1..k ascending by centroid, compared as tuples
+    (first coordinate, then the next, exactly); only identical centroids
+    keep the fit's order. Partition and inertia are untouched; idempotent."""
+    perm = sorted(range(model.k), key=lambda i: tuple(model.centroids[i]))
     relabel = np.empty(model.k, dtype=int)
-    for new_pos, old_idx in enumerate(perm):
-        relabel[old_idx] = new_pos + 1
+    relabel[perm] = np.arange(1, model.k + 1)
     return replace(
         model,
         centroids=model.centroids[perm],

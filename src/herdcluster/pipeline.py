@@ -66,6 +66,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:  # NaN fails too
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
+        if isinstance(self.exclude, str):  # not split into its characters
+            raise ValidationError(f"exclude must be a collection of keys, not the string {self.exclude!r}")
         # plain ints, as KMeansConfig stores them: report.json cannot hold a numpy integer
         for name, what in (("feature_count", "count"), ("seed", "seed"), ("k", "k")):
             if getattr(self, name) is not None:

@@ -94,6 +94,8 @@ def select_features(
         raise ValidationError(f"target {target} not in correlation matrix")
     if (count := integer(count, "count")) < 1:
         raise ValidationError("count must be positive")
+    if isinstance(exclude, str):  # not split into its characters
+        raise ValidationError(f"exclude must be a collection of keys, not the string {exclude!r}")
     excluded = {canonical_key(k) for k in exclude}
     t = m.keys.index(target)
     candidates = [

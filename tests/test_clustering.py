@@ -642,6 +642,39 @@ class TestOrderClusters:
         ordered = order_clusters(model)
         assert ordered.centroids[0, 1] == -5.0
 
+    @staticmethod
+    def assert_one_numbering(centroids):
+        """Every input order of `centroids` gives the same ordered centroids,
+        with exactly non-decreasing first coordinates, whole clusters kept
+        and nothing left for a second call to change."""
+        k = len(centroids)
+        seen = set()
+        for perm in itertools.permutations(range(k)):
+            labels = np.repeat(np.arange(1, k + 1), 2)
+            model = KMeansModel(centroids=np.array([centroids[i] for i in perm]), labels=labels,
+                                inertia=0.0, config=KMeansConfig(k=k))
+            ordered = order_clusters(model)
+            seen.add(ordered.centroids.tobytes())
+            assert np.all(np.diff(ordered.centroids[:, 0]) >= 0), perm
+            for c in range(1, k + 1):
+                assert len(set(ordered.labels[labels == c])) == 1
+            again = order_clusters(ordered)
+            assert again.centroids.tobytes() == ordered.centroids.tobytes()
+            np.testing.assert_array_equal(again.labels, ordered.labels)
+        assert len(seen) == 1
+
+    def test_first_coordinates_within_1e_12_are_not_ties(self):
+        # a comparator treating first coordinates within 1e-12 as tied is not
+        # transitive: these six input orders got three numberings, two of them
+        # with 1.6e-12 ahead of 0.8e-12
+        self.assert_one_numbering([[0.0, 1.0], [0.8e-12, 0.0], [1.6e-12, -1.0]])
+
+    @given(st.lists(st.tuples(st.integers(0, 10), st.integers(-3, 3)), min_size=2, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_near_ties_get_one_numbering(self, cells):
+        # first coordinates at most 1e-12 apart; repeated centroids allowed
+        self.assert_one_numbering([[a * 1e-13, b / 2] for a, b in cells])
+
 
 class TestAssign:
     def test_centroid_maps_to_itself(self, rng):

@@ -266,6 +266,21 @@ def test_config_rejects_k_range_not_a_pair(k_range):
         PipelineConfig.from_preset("dorsum", data.synthetic_path(), k_range=k_range)
 
 
+def test_config_rejects_bare_string_exclude(synthetic_table):
+    # "DA" once reached report.json as ["A", "D"] and left DA selectable
+    message = "^exclude must be a collection of keys, not the string 'DA'$"
+    with pytest.raises(ValidationError, match=message):
+        PipelineConfig(input_path="x", target="BW", exclude="DA")
+    with pytest.raises(ValidationError, match=message):
+        PipelineConfig.from_preset("dorsum", data.synthetic_path(), exclude="DA")
+    with pytest.raises(ValidationError, match=message):
+        pipeline.select_for_target(synthetic_table, "BW", 3, "DA")
+    cfg = PipelineConfig(input_path="x", target="BW", exclude=["DA"])
+    assert cfg.as_dict()["exclude"] == ["DA"]
+    _, selection = pipeline.select_for_target(synthetic_table, cfg.target, 3, cfg.exclude)
+    assert "DA" not in selection.selected
+
+
 def test_public_names_resolve():
     assert all(hasattr(herdcluster, name) for name in herdcluster.__all__)
     namespace = {}

@@ -303,6 +303,16 @@ class TestSelectFeatures:
         with pytest.raises(ValidationError, match=message):
             select_features(correlation_matrix(synthetic_table), target, count)
 
+    def test_bare_string_exclude_rejected(self, synthetic_table):
+        # a string iterates as its characters: "DA" excluded A and D, not DA
+        m = correlation_matrix(synthetic_table)
+        assert "DA" in select_features(m, "BW", 3).selected
+        with pytest.raises(ValidationError, match="^exclude must be a collection of keys, "
+                                                  "not the string 'DA'$"):
+            select_features(m, "BW", 3, "DA")
+        for exclude in (["DA"], ("DA",), {"DA"}):
+            assert "DA" not in select_features(m, "BW", 3, exclude).selected
+
     def test_tie_break_by_key_order(self, tmp_path):
         t = table_from_columns(
             tmp_path,
