@@ -40,12 +40,13 @@ def canonical_key(name: str) -> str:
 
 @dataclass(frozen=True)
 class HerdTable:
-    """Validated rectangular dataset: one row per animal, one numeric
-    column per measurement key. Immutable after construction."""
+    """Validated rectangular dataset: one row per animal, one numeric column
+    per measurement key, as `canonical_key` gives it. Immutable after
+    construction. `provenance` follows `load_table`'s SS rule: SS is
+    "derived" when S1, S2 and S3 are all columns; every other column is "supplied"."""
 
     animal_ids: tuple[str, ...]
     columns: Mapping[str, np.ndarray]
-    provenance: Mapping[str, str]  # supplied | derived
 
     def __post_init__(self):
         ids = self.animal_ids
@@ -58,6 +59,8 @@ class HerdTable:
             raise ValidationError("table has no measurement columns")
         cols = {}
         for key, values in self.columns.items():
+            if canonical_key(key) != key:  # `column` looks keys up in canonical form
+                raise ValidationError(f"column key {key!r} must be given as {canonical_key(key)!r}")
             arr = np.asarray(values, dtype=float)
             if arr.shape != (len(ids),):
                 raise ValidationError(
@@ -68,10 +71,11 @@ class HerdTable:
             arr.flags.writeable = False
             cols[key] = arr
         object.__setattr__(self, "columns", MappingProxyType(cols))
-        prov = dict(self.provenance)
-        for key in cols:
-            prov.setdefault(key, "supplied")
-        object.__setattr__(self, "provenance", MappingProxyType(prov))
+
+    @property
+    def provenance(self) -> Mapping[str, str]:
+        ss = DERIVED_SCORE_KEY if set(GRADER_KEYS) <= self.columns.keys() else None
+        return MappingProxyType({k: "derived" if k == ss else "supplied" for k in self.columns})
 
     @property
     def n_animals(self) -> int:
@@ -216,7 +220,8 @@ def _parse_cell(raw: str, path, lineno: int, colname: str) -> float:
 
 def load_table(path) -> HerdTable:
     """Read a wide-format CSV (header row, first column = animal id) into a
-    validated HerdTable; every column is kept as a measurement key."""
+    validated HerdTable; every column is kept as a measurement key. Animals
+    are in (len(id), id) order, whatever the rows' order (numeric for plain integer ids)."""
     bulk = bulk_csv(path, float)
     records = iter([(1, bulk[0])]) if bulk else read_csv(path)
     _, header = next(records)
@@ -236,14 +241,15 @@ def load_table(path) -> HerdTable:
         raise ValidationError(f"{path}: no data rows")
 
     arr = np.asarray(data, dtype=float)
+    order = sorted(range(len(animal_ids)), key=lambda i: (len(animal_ids[i]), animal_ids[i]))
+    if order != list(range(len(order))):
+        animal_ids, arr = [animal_ids[i] for i in order], arr[order]
     columns = {key: arr[:, i] for i, key in enumerate(keys)}
-    provenance = {key: "supplied" for key in keys}
     if all(k in columns for k in GRADER_KEYS):  # SS = mean(S1..S3)
         if DERIVED_SCORE_KEY in columns:
             raise ValidationError("SS may not be supplied directly when S1..S3 are present")
         columns[DERIVED_SCORE_KEY] = _moments(np.column_stack([columns[k] for k in GRADER_KEYS]))[4]
-        provenance[DERIVED_SCORE_KEY] = "derived"
-    return HerdTable(tuple(animal_ids), columns, provenance)
+    return HerdTable(tuple(animal_ids), columns)
 
 
 def aggregate_scores(table: HerdTable) -> list[ScoreSummary]:

@@ -319,7 +319,7 @@ def studentized_range_ppf(p: float, k: int, df: int) -> float:
     while studentized_range_cdf(hi, k, df, ws=ws) < p:
         hi *= 2.0
         if hi > 1e6:
-            raise ValidationError("studentized range inverse out of range")
+            raise ValidationError(f"studentized range inverse out of range: p={p}, k={k}, df={df}")
     while hi - lo > _PPF_TOL * max(1.0, hi):
         mid = (lo + hi) / 2.0
         if studentized_range_cdf(mid, k, df, ws=ws) < p:
@@ -443,24 +443,14 @@ def one_way_anova(values, labels) -> AnovaResult:
     grand = unscaled(grand, e, "grand mean")
     df_b, df_w = k - 1, n - k
     means = tuple(unscaled(m, e, "group mean") for m in means)
-
-    if _negligible(ss_within, ss_total):
-        return AnovaResult(
-            f_stat=0.0 if _negligible(ss_between, ss_total) else math.inf,
-            df_between=df_b, df_within=df_w,
-            p_value=1.0 if _negligible(ss_between, ss_total) else 0.0,
-            group_means=means, grand_mean=grand, degenerate=True,
-        )
-
-    f_stat = (ss_between / df_b) / (ss_within / df_w)
-    return AnovaResult(
-        f_stat=f_stat,
-        df_between=df_b,
-        df_within=df_w,
-        p_value=1.0 - f_cdf(f_stat, df_b, df_w),
-        group_means=means,
-        grand_mean=grand,
-    )
+    degenerate = _negligible(ss_within, ss_total)
+    if degenerate:  # F would be 0/0 or x/0
+        f_stat, p_value = (0.0, 1.0) if _negligible(ss_between, ss_total) else (math.inf, 0.0)
+    else:
+        f_stat = (ss_between / df_b) / (ss_within / df_w)
+        p_value = 1.0 - f_cdf(f_stat, df_b, df_w)
+    return AnovaResult(f_stat=f_stat, df_between=df_b, df_within=df_w, p_value=p_value,
+                       group_means=means, grand_mean=grand, degenerate=degenerate)
 
 
 def tukey_hsd(values, labels, alpha: float = 0.05) -> TukeyResult:

@@ -78,7 +78,7 @@ class TestLoadTable:
         ids[-1] = "a5"
         start = time.perf_counter()
         with pytest.raises(ValidationError, match=r"^duplicate animal_id: a5$"):
-            HerdTable(tuple(ids), {"CH": np.zeros(len(ids))}, {})
+            HerdTable(tuple(ids), {"CH": np.zeros(len(ids))})
         assert time.perf_counter() - start < 5.0
 
     def test_missing_cell(self, tmp_path):
@@ -197,10 +197,30 @@ class TestLoadTable:
         (("a",), {}, "table has no measurement columns"),
         (("a", "b"), {"CH": [1.0]}, "column CH has 1 values for 2 animals"),
         (("a", "b"), {"CH": [1.0, math.inf]}, "column CH contains non-finite values"),
+        # `column` canonicalizes the key it looks up, so it could never find these
+        (("a", "b", "c"), {"ch": [1.0, 2.0, 4.0], "BW": [3.0, 1.0, 2.0]},
+         "column key 'ch' must be given as 'CH'"),
+        (("a",), {" BW": [3.0]}, "column key ' BW' must be given as 'BW'"),
+        (("a",), {"B W": [3.0]}, "invalid measurement key: 'B W'"),
     ])
     def test_herd_table_checks(self, ids, columns, message):
         with pytest.raises(ValidationError, match=message):
-            HerdTable(ids, columns, {})
+            HerdTable(ids, columns)
+
+    def test_provenance_follows_the_ss_rule(self):
+        ids, x = ("a", "b"), [1.0, 2.0]
+        graders = {"S1": x, "S2": x, "S3": x}
+        table = HerdTable(ids, {"BW": x, **graders, "SS": x})
+        assert dict(table.provenance) == {"BW": "supplied", "S1": "supplied", "S2": "supplied",
+                                          "S3": "supplied", "SS": "derived"}
+        with pytest.raises(TypeError):
+            table.provenance["SS"] = "supplied"
+        with pytest.raises(AttributeError):
+            table.provenance = {}
+        # without all three graders SS is a supplied column like any other
+        table = HerdTable(ids, {"S1": x, "S2": x, "SS": x})
+        assert dict(table.provenance) == dict.fromkeys(("S1", "S2", "SS"), "supplied")
+        assert dict(HerdTable(ids, graders).provenance) == dict.fromkeys(graders, "supplied")
 
 
 def table_outcome(path):
@@ -383,7 +403,7 @@ class TestDescribe:
         ([5e-324, 1e-323, 2e-323, 5e-324], 5e-324),  # subnormal
     ])
     def test_extreme_columns_match_mpmath(self, x, std):
-        d = describe(HerdTable(tuple(f"a{i}" for i in range(len(x))), {"X": x}, {}), "X")
+        d = describe(HerdTable(tuple(f"a{i}" for i in range(len(x))), {"X": x}), "X")
         near = functools.partial(pytest.approx, rel=1e-12, abs=5e-324)
         assert (d.mean, d.std) == tuple(map(near, mp_mean_std(x)))
         assert d.std == std
@@ -399,7 +419,7 @@ class TestDescribe:
             base = describe(synthetic_table, key).as_dict()
             for p in (-600, 5, 600):
                 t = HerdTable(synthetic_table.animal_ids,
-                              {key: np.ldexp(synthetic_table.column(key), p)}, {})
+                              {key: np.ldexp(synthetic_table.column(key), p)})
                 got = describe(t, key).as_dict()
                 assert all(got[f] == math.ldexp(base[f], p) for f in got if f != "key"), (key, p)
 

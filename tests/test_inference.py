@@ -444,6 +444,16 @@ class TestStudentizedRangeCdf:
         with pytest.raises(ValidationError, match=r"p must be in \(0, 1\)"):
             studentized_range_ppf(p, 3, 10)
 
+    def test_inverse_beyond_the_bracket_cap(self):
+        # at df = 1 the upper tail is heavy: for k = 2 the cdf is (2/π)·arctan(q/√2),
+        # 1 - 4.5e-7 at q = 2e6, and k = 3's is heavier, so q* lies past the cap of 1e6
+        assert studentized_range_cdf(2e6, 2, 1) == pytest.approx(
+            2 / math.pi * math.atan(2e6 / math.sqrt(2)), abs=1e-12)
+        assert studentized_range_cdf(1e6, 3, 1) < 1 - 1e-7
+        with pytest.raises(ValidationError, match=r"^studentized range inverse out of range: "
+                                                  r"p=0\.9999999, k=3, df=1$"):
+            studentized_range_ppf(1 - 1e-7, 3, 1)
+
 
 # the dfs of the bit-for-bit sweep: 1,008 to 96 outer nodes, 11 blocks to one
 SWEEP_DFS = (1, 2, 3, 5, 11, 19, 20, 57, 500, 1100, 1938, 5000, 100_000)

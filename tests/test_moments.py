@@ -150,7 +150,7 @@ def make_table(n, specs, drawn=None):
     cols = {f"C{i}": make_column(f, n, seed) for i, (f, seed) in enumerate(specs)}
     if drawn is not None:
         cols["D"] = np.array(drawn[:n] + [0.0] * (n - len(drawn[:n])))
-    return HerdTable(tuple(f"a{i}" for i in range(n)), cols, {})
+    return HerdTable(tuple(f"a{i}" for i in range(n)), cols)
 
 
 DRAWN = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=9)
@@ -184,7 +184,7 @@ class TestBitIdentity:
     @given(n=N, specs=st.lists(COLUMN, min_size=3, max_size=3))
     def test_grader_scores(self, n, specs):
         cols = make_table(n, specs).columns.values()
-        table = HerdTable(tuple(f"a{i}" for i in range(n)), dict(zip(GRADER_KEYS, cols)), {})
+        table = HerdTable(tuple(f"a{i}" for i in range(n)), dict(zip(GRADER_KEYS, cols)))
         want = outcome(lambda: reference_aggregate_scores(table))
         got = outcome(lambda: [(s.mean, s.std) for s in aggregate_scores(table)])
         if isinstance(want, str):
@@ -228,7 +228,7 @@ class TestBitIdentity:
     def test_bundled_tables(self, n):
         for table in (load_table(data.scores_path()), load_table(data.synthetic_path())):
             ids = table.animal_ids[:n]
-            t = HerdTable(ids, {k: v[:len(ids)] for k, v in table.columns.items()}, {})
+            t = HerdTable(ids, {k: v[:len(ids)] for k, v in table.columns.items()})
             for g, w in zip(describe_all(t), (reference_describe(t, k) for k in t.keys)):
                 assert list(map(bits, list(g.as_dict().values())[1:])) == \
                     list(map(bits, list(w.as_dict().values())[1:]))
@@ -239,7 +239,7 @@ class TestBitIdentity:
 class TestErrors:
     def test_std_errors_come_in_key_order(self):
         over = [1.7e308, -1.7e308, 1.7e308, -1.7e308]
-        table = HerdTable(("a", "b", "c", "d"), {"X": over, "A": [1, 2, 3, 4], "Y": over}, {})
+        table = HerdTable(("a", "b", "c", "d"), {"X": over, "A": [1, 2, 3, 4], "Y": over})
         for keys, first in ((["A", "X", "Y"], "X"), (["Y", "A", "X"], "Y")):
             want = outcome(lambda: [reference_describe(table, k) for k in keys])
             assert want == f"NumericalError: std of column {first} overflowed"
@@ -283,7 +283,7 @@ class TestMeanNeverRaises:
         # scaled, DBL_MAX is 1 - 2^-53, and no mean of such values rounds up
         # to 1.0, whose 2^1024 would overflow
         table = HerdTable(tuple(f"a{i}" for i in range(n)),
-                          {"X": [DBL_MAX] * n, "Y": [-DBL_MAX] * n}, {})
+                          {"X": [DBL_MAX] * n, "Y": [-DBL_MAX] * n})
         assert [d.mean for d in describe_all(table)] == [DBL_MAX, -DBL_MAX]
 
 
@@ -293,7 +293,7 @@ class TestMeanNeverRaises:
 def wide_table():
     rng = np.random.default_rng(6000)
     return HerdTable(tuple(f"a{i}" for i in range(6000)),
-                     {f"K{j}": rng.normal(300.0, 30.0, 6000) for j in range(50)}, {})
+                     {f"K{j}": rng.normal(300.0, 30.0, 6000) for j in range(50)})
 
 
 def traced_peak_mb(f):

@@ -191,7 +191,7 @@ class TestCorrelationMatrix:
         X[:, constant] = X[0, constant]
         keys = [f"K{j}" for j in range(p)]
         t = HerdTable(tuple(f"a{i}" for i in range(n)),
-                      {k: X[:, j] for j, k in enumerate(keys)}, {})
+                      {k: X[:, j] for j, k in enumerate(keys)})
         want, oracle = np.eye(p), np.zeros((p, p), dtype=bool)
         for i in range(p):
             for j in range(i + 1, p):
@@ -223,7 +223,7 @@ class TestCorrelationMatrix:
             X = np.round(10.0 * X, decimals)
         keys = [f"K{j}" for j in range(p)]
         t = HerdTable(tuple(f"a{i}" for i in range(n)),
-                      {k: X[:, j] for j, k in enumerate(keys)}, {})
+                      {k: X[:, j] for j, k in enumerate(keys)})
         if any(t.column(k).min() == t.column(k).max() for k in keys):
             return
         got = correlation_matrix(t).r
