@@ -242,8 +242,7 @@ def load_table(path) -> HerdTable:
 
     arr = np.asarray(data, dtype=float)
     order = sorted(range(len(animal_ids)), key=lambda i: (len(animal_ids[i]), animal_ids[i]))
-    if order != list(range(len(order))):
-        animal_ids, arr = [animal_ids[i] for i in order], arr[order]
+    animal_ids, arr = [animal_ids[i] for i in order], arr[order]
     columns = {key: arr[:, i] for i, key in enumerate(keys)}
     if all(k in columns for k in GRADER_KEYS):  # SS = mean(S1..S3)
         if DERIVED_SCORE_KEY in columns:
