@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError, integer
 
-_BATCH_CELLS = 2**17  # runs x points per Lloyd batch: 1 MB per (runs, n) array
+_BATCH_CELLS = 2**16  # runs x points per Lloyd batch: 512 kB per (runs, n) float row
 
 
 def restart_seed(seed: int, restart: int) -> int:
@@ -83,29 +83,51 @@ def _as_points(z) -> np.ndarray:
     return X
 
 
-def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """One call's buffers for the points X and up to `runs` runs (a module-
+    lifetime one raised peak RSS by 1 MB): X tiled once per feature as
+    (d, runs, n), whose alike rows serve any m runs as operands and as
+    np.bincount's weights, and (runs, n) rows, each its own array (the spare
+    one, free between kernel passes, holds `_lloyd`'s bins as intp)."""
+
+    def __init__(self, X: np.ndarray, runs: int):
+        self.tiled = np.repeat(X.T[:, None], runs, axis=1)
+        self.best, self.dist, self.spare = (np.empty((runs, len(X))) for _ in range(3))
+        self.labels, self.hit = (np.empty((runs, len(X)), dtype=np.int32) for _ in range(2))
+        self.mask = np.empty((runs, len(X)), dtype=bool)
+
+
+def _sq_dists(ws: _Workspace, centroids: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(R, n) squared distances from the points to one centroid per run,
-    (R, d), features added in index order."""
-    d2 = (X[:, 0] - centroids[:, 0, None]) ** 2
-    for j in range(1, X.shape[1]):
-        d2 += (X[:, j] - centroids[:, j, None]) ** 2
-    return d2
+    (R, d), into `out`, features added in index order. A coordinate is first
+    spread over a row: a same-shape subtraction is several times cheaper."""
+    spare = ws.spare[:len(centroids)]
+    for j, tiled in enumerate(ws.tiled[:, :len(centroids)]):
+        row = spare if j else out
+        row[...] = centroids[:, j, None]
+        np.square(np.subtract(tiled, row, out=row), out=row)
+        if j:
+            np.add(out, row, out=out)
+    return out
 
 
-def _nearest(X: np.ndarray, centroids: np.ndarray, ks=None):
+def _nearest(ws: _Workspace, centroids: np.ndarray, ks=None):
     """Per run, each point's squared distance to its nearest centroid and
-    that centroid's index: a running minimum over the (R, K, d) centroid
-    slots, where a slot takes a point only if strictly closer (ties go to
-    the lowest index, argmin's behaviour). Run r uses its first `ks[r]`
-    slots (all K by default); `ks` is non-increasing, so the runs that use a
-    slot are a prefix of the batch."""
-    best = _sq_dists(X, centroids[:, 0])
-    labels = np.zeros(best.shape, dtype=np.intp)
+    that centroid's int32 index: a running minimum over the (R, K, d)
+    centroid slots. A slot takes a point only if strictly closer, so ties go
+    to the lowest index (argmin's behaviour); slots go in ascending order, so
+    that is labels = maximum(labels, mask * c), not np.putmask's slow
+    scatter. Run r uses its first `ks[r]` slots (all K by default); `ks` is
+    non-increasing, so the runs that use a slot are a prefix of the batch."""
+    R = len(centroids)
+    best, labels = _sq_dists(ws, centroids[:, 0], ws.best[:R]), ws.labels[:R]
+    labels.fill(0)
     for c in range(1, centroids.shape[1]):
-        m = len(best) if ks is None else np.count_nonzero(ks > c)
-        dc = _sq_dists(X, centroids[:m, c])
-        np.putmask(labels[:m], dc < best[:m], c)
-        np.minimum(best[:m], dc, out=best[:m])
+        m = R if ks is None else np.count_nonzero(ks > c)
+        dist, near, hit = _sq_dists(ws, centroids[:m, c], ws.dist[:m]), best[:m], ws.hit[:m]
+        hit[...] = np.less(dist, near, out=ws.mask[:m])  # 1 where slot c is strictly closer
+        np.minimum(near, dist, out=near)
+        np.maximum(labels[:m], np.multiply(hit, c, out=hit), out=labels[:m])
     return best, labels
 
 
@@ -113,17 +135,17 @@ def _init_kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
     """k-means++ starts, (R, k, d): run r draws from `rngs[r]` as a lone run
     would. A draw never depends on later centroids, so the first j rows
     are the start a k = j fit draws."""
-    n = X.shape[0]
-    centroids = np.empty((len(rngs), k, X.shape[1]))
+    n, R = len(X), len(rngs)
+    ws, centroids = _Workspace(X, R), np.empty((R, k, X.shape[1]))
     centroids[:, 0] = X[[rng.integers(n) for rng in rngs]]
-    closest = _sq_dists(X, centroids[:, 0])
+    closest = _sq_dists(ws, centroids[:, 0], ws.best[:R])
     for c in range(1, k):
         # a draw below the run's total, cum[-1], never counts the last point
         idx = [rng.integers(n) if cum[-1] <= 0.0  # every point on a chosen centroid
                else np.count_nonzero(cum < rng.random() * cum[-1])
-               for rng, cum in zip(rngs, np.cumsum(closest, axis=1))]
+               for rng, cum in zip(rngs, np.cumsum(closest, axis=1, out=ws.dist[:R]))]
         centroids[:, c] = X[idx]
-        closest = np.minimum(closest, _sq_dists(X, centroids[:, c]))
+        np.minimum(closest, _sq_dists(ws, centroids[:, c], ws.dist[:R]), out=closest)
     return centroids
 
 
@@ -135,39 +157,35 @@ def _lloyd(X: np.ndarray, starts: np.ndarray, ks=None) -> list:
     sum, in row order, over their count; an empty cluster moves to the point
     farthest from its centroid (never raising the objective), or stays if
     that point is within `tol` of its own centroid (a rounding residue)."""
-    (R, K, d), n = starts.shape, X.shape[0]
+    R, K, d = starts.shape
     ks = np.full(R, K) if ks is None else np.asarray(ks)
     running = np.argsort(-ks, kind="stable")  # batch order: most slots first
     ks = ks[running]
     centroids = np.where(np.arange(K)[:, None] < ks[:, None, None], starts[running], 0.0)
-    fits, histories = [None] * R, [[] for _ in range(R)]
+    ws, fits, histories = _Workspace(X, R), [None] * R, [[] for _ in range(R)]
     shift = np.full(R, np.inf)
     for it in range(KMeansConfig.max_iter + 1):
-        cost, labels = _nearest(X, centroids, ks)
+        cost, labels = _nearest(ws, centroids, ks)
         for r, inertia in zip(running, cost.sum(axis=1).tolist()):
             histories[r].append(inertia)
         stop = (shift <= KMeansConfig.tol) | (it == KMeansConfig.max_iter)
         for i, r in zip(np.flatnonzero(stop), running[stop]):
-            fits[r] = (centroids[i, :ks[i]].copy(), labels[i].copy(), histories[r][-1], histories[r])
+            fits[r] = (centroids[i, :ks[i]].copy(), labels[i].astype(np.intp),
+                       histories[r][-1], histories[r])
         if stop.all():
             return fits
-        if stop.any():
-            running, ks, centroids, cost, labels = (
-                a[~stop] for a in (running, ks, centroids, cost, labels))
-        m = len(running)
-        labels += K * np.arange(m)[:, None]  # run i's slots: i*K, i*K+1, ..
-        bins = labels.ravel()
-        counts = np.bincount(bins, minlength=m * K).reshape(m, K)
-        sums = np.stack([np.bincount(bins, weights=np.tile(col, m), minlength=m * K)
-                         for col in X.T], axis=1)
+        m = len(running)  # the runs stopping now included: no (runs, n) row is compacted
+        flat = np.add(labels, K * np.arange(m)[:, None], out=ws.spare[:m].view(np.intp)).ravel()
+        counts = np.bincount(flat, minlength=m * K).reshape(m, K)
+        sums = np.stack([np.bincount(flat, weights=col.ravel(), minlength=m * K)
+                         for col in ws.tiled[:, :m]], axis=1)
         new_centroids = sums.reshape(m, K, d) / np.maximum(counts, 1)[..., None]
-        for i, c in zip(*np.nonzero((counts == 0) & (np.arange(K) < ks[:, None]))):
+        for i, c in zip(*np.nonzero((counts == 0) & (np.arange(K) < ks[:, None]) & ~stop[:, None])):
             far = int(np.argmax(cost[i]))
             new_centroids[i, c] = X[far] if cost[i, far] > KMeansConfig.tol ** 2 else centroids[i, c]
             cost[i, far] = -1.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=2)).max(axis=1)
-        centroids = new_centroids
-        del cost, labels, bins  # freed before the next pass allocates its own
+        running, ks, centroids, shift = (a[~stop] for a in (running, ks, new_centroids, shift))
 
 
 def _best_fits(X: np.ndarray, cfg: KMeansConfig, k_values: list) -> list:
@@ -229,8 +247,8 @@ def assign(model: KMeansModel, new_points) -> np.ndarray:
             f"dimension mismatch: points have {X.shape[1]} features, "
             f"model has {model.centroids.shape[1]}"
         )
-    _, labels = _nearest(X, model.centroids[None])
-    return labels[0] + 1
+    _, labels = _nearest(_Workspace(X, 1), model.centroids[None])
+    return labels[0].astype(np.intp) + 1
 
 
 def _rises(prev: float, cur: float) -> bool:
@@ -315,7 +333,7 @@ def elbow_scan(z, k_range: tuple[int, int], cfg: KMeansConfig) -> ElbowResult:
             # centroids by the point farthest from them, which Lloyd can
             # only improve on
             prev = models[-1].centroids
-            far = int(np.argmax(_nearest(X, prev[None])[0]))
+            far = int(np.argmax(_nearest(_Workspace(X, 1), prev[None])[0]))
             start = np.vstack([prev, X[far]])
             model = _model(model.config, *_lloyd(X, start[None])[0])
         models.append(model)

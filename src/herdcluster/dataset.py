@@ -32,6 +32,8 @@ _KEY_RE = re.compile(r"^[A-Z0-9_]+$")
 
 def canonical_key(name: str) -> str:
     """Uppercase a column name and reject anything non-alphanumeric."""
+    if not isinstance(name, str):
+        raise ValidationError(f"measurement key must be a string, got {name!r}")
     key = name.strip().upper()
     if not _KEY_RE.match(key):
         raise ValidationError(f"invalid measurement key: {name!r}")

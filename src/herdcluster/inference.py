@@ -319,7 +319,7 @@ def studentized_range_ppf(p: float, k: int, df: int) -> float:
     while studentized_range_cdf(hi, k, df, ws=ws) < p:
         hi *= 2.0
         if hi > 1e6:
-            raise ValidationError(f"studentized range inverse out of range: p={p}, k={k}, df={df}")
+            raise NumericalError(f"studentized range inverse out of range: p={p}, k={k}, df={df}")
     while hi - lo > _PPF_TOL * max(1.0, hi):
         mid = (lo + hi) / 2.0
         if studentized_range_cdf(mid, k, df, ws=ws) < p:

@@ -24,7 +24,8 @@ from herdcluster import (
 )
 from herdcluster import clustering
 from herdcluster.clustering import (
-    ElbowResult, KMeansModel, _init_kmeanspp, _lloyd, _nearest, _rises, _sq_dists, restart_seed,
+    ElbowResult, KMeansModel, _Workspace, _init_kmeanspp, _lloyd, _nearest, _rises, _sq_dists,
+    restart_seed,
 )
 from herdcluster.pipeline import write_model
 
@@ -456,20 +457,22 @@ class TestBatchedLloyd:
         assert got.tobytes() == want.tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 300), n=st.integers(1, 20),
-           k=st.integers(1, 6), n_runs=st.integers(1, 3), ties=st.booleans())
+           k=st.integers(1, 40), n_runs=st.integers(1, 3), ties=st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_kernel_sums_features_in_index_order(self, seed, d, n, k, n_runs, ties):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0)
         C = rng.normal(size=(n_runs, k, d))
-        if ties:  # equal distances to several centroids: the lowest index wins
-            X, C = np.round(X / 50), np.round(C)
+        if ties:  # equal distances to several centroids, repeated slots among them:
+            # the lowest index wins, which the kernel's maximum-of-hits rule must keep
+            X, C = np.round(X / 50), np.round(C)[:, rng.integers(k, size=k)]
+        ws = _Workspace(X, n_runs)
         want = np.stack([index_order_sq_dists(X, c) for c in C])
         for c in range(k):
-            assert _sq_dists(X, C[:, c]).tobytes() == want[..., c].tobytes()
-        best, labels = _nearest(X, C)
+            assert _sq_dists(ws, C[:, c], ws.dist[:n_runs]).tobytes() == want[..., c].tobytes()
+        best, labels = _nearest(ws, C)
         assert best.tobytes() == want.min(axis=2).tobytes()
-        assert labels.tobytes() == want.argmin(axis=2).tobytes()
+        assert labels.astype(np.intp).tobytes() == want.argmin(axis=2).tobytes()
 
     @given(case=batched_case(), seed=st.integers(0, 2**32 - 1),
            cap=st.sampled_from([KMeansConfig.max_iter, 1, 3]))

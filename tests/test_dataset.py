@@ -192,6 +192,15 @@ class TestLoadTable:
         with pytest.raises(ValidationError):
             canonical_key("not a key!")
 
+    def test_non_string_key(self):
+        # a non-string key is bad input (exit 2), whether it names a column or looks one up
+        with pytest.raises(ValidationError, match=r"^measurement key must be a string, got 1$"):
+            HerdTable(("a",), {1: [1.0]})
+        table = HerdTable(("a",), {"BW": [1.0]})
+        for key in (1, None, b"BW"):
+            with pytest.raises(ValidationError, match="measurement key must be a string"):
+                table.column(key)
+
     @pytest.mark.parametrize("ids, columns, message", [
         ((), {"CH": []}, "table has no animals"),
         (("a",), {}, "table has no measurement columns"),

@@ -450,10 +450,9 @@ class TestStudentizedRangeCdf:
         assert studentized_range_cdf(2e6, 2, 1) == pytest.approx(
             2 / math.pi * math.atan(2e6 / math.sqrt(2)), abs=1e-12)
         assert studentized_range_cdf(1e6, 3, 1) < 1 - 1e-7
-        # pins today's exit 2; CHANGES.md has a FOUND line asking for NumericalError
-        # (exit 3) here, and the change that makes it so edits this assertion
-        with pytest.raises(ValidationError, match=r"^studentized range inverse out of range: "
-                                                  r"p=0\.9999999, k=3, df=1$"):
+        # the input is valid and the cap is the routine's limit: NumericalError, exit 3
+        with pytest.raises(NumericalError, match=r"^studentized range inverse out of range: "
+                                                 r"p=0\.9999999, k=3, df=1$"):
             studentized_range_ppf(1 - 1e-7, 3, 1)
 
 
