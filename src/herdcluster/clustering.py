@@ -88,13 +88,16 @@ class _Workspace:
     lifetime one raised peak RSS by 1 MB): X tiled once per feature as
     (d, runs, n), whose alike rows serve any m runs as operands and as
     np.bincount's weights, and (runs, n) rows, each its own array (the spare
-    one, free between kernel passes, holds `_lloyd`'s bins as intp)."""
+    one, free between kernel passes, holds `_lloyd`'s bins as intp). The
+    labels, hit and mask rows are `_nearest`'s; k-means++ seeding, which
+    takes distances only, goes without them."""
 
-    def __init__(self, X: np.ndarray, runs: int):
+    def __init__(self, X: np.ndarray, runs: int, labelled: bool = True):
         self.tiled = np.repeat(X.T[:, None], runs, axis=1)
         self.best, self.dist, self.spare = (np.empty((runs, len(X))) for _ in range(3))
-        self.labels, self.hit = (np.empty((runs, len(X)), dtype=np.int32) for _ in range(2))
-        self.mask = np.empty((runs, len(X)), dtype=bool)
+        if labelled:
+            self.labels, self.hit = (np.empty((runs, len(X)), dtype=np.int32) for _ in range(2))
+            self.mask = np.empty((runs, len(X)), dtype=bool)
 
 
 def _sq_dists(ws: _Workspace, centroids: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -118,11 +121,12 @@ def _nearest(ws: _Workspace, centroids: np.ndarray, ks=None):
     to the lowest index (argmin's behaviour); slots go in ascending order, so
     that is labels = maximum(labels, mask * c), not np.putmask's slow
     scatter. Run r uses its first `ks[r]` slots (all K by default); `ks` is
-    non-increasing, so the runs that use a slot are a prefix of the batch."""
+    non-increasing, so the runs that use a slot are a prefix of the batch,
+    and the loop ends at the first slot that no run uses."""
     R = len(centroids)
     best, labels = _sq_dists(ws, centroids[:, 0], ws.best[:R]), ws.labels[:R]
     labels.fill(0)
-    for c in range(1, centroids.shape[1]):
+    for c in range(1, centroids.shape[1] if ks is None else ks[0]):
         m = R if ks is None else np.count_nonzero(ks > c)
         dist, near, hit = _sq_dists(ws, centroids[:m, c], ws.dist[:m]), best[:m], ws.hit[:m]
         hit[...] = np.less(dist, near, out=ws.mask[:m])  # 1 where slot c is strictly closer
@@ -136,7 +140,7 @@ def _init_kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
     would. A draw never depends on later centroids, so the first j rows
     are the start a k = j fit draws."""
     n, R = len(X), len(rngs)
-    ws, centroids = _Workspace(X, R), np.empty((R, k, X.shape[1]))
+    ws, centroids = _Workspace(X, R, labelled=False), np.empty((R, k, X.shape[1]))
     centroids[:, 0] = X[[rng.integers(n) for rng in rngs]]
     closest = _sq_dists(ws, centroids[:, 0], ws.best[:R])
     for c in range(1, k):
@@ -156,7 +160,10 @@ def _lloyd(X: np.ndarray, starts: np.ndarray, ks=None) -> list:
     slots stay 0 and take no points. A centroid is its members' per-feature
     sum, in row order, over their count; an empty cluster moves to the point
     farthest from its centroid (never raising the objective), or stays if
-    that point is within `tol` of its own centroid (a rounding residue)."""
+    that point is within `tol` of its own centroid (a rounding residue).
+    A run stops at the pass after an update within `tol`; an update that
+    moves no centroid ends it at once, its inertia repeated as the pass it
+    skips would repeat it."""
     R, K, d = starts.shape
     ks = np.full(R, K) if ks is None else np.asarray(ks)
     running = np.argsort(-ks, kind="stable")  # batch order: most slots first
@@ -185,7 +192,15 @@ def _lloyd(X: np.ndarray, starts: np.ndarray, ks=None) -> list:
             new_centroids[i, c] = X[far] if cost[i, far] > KMeansConfig.tol ** 2 else centroids[i, c]
             cost[i, far] = -1.0
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=2)).max(axis=1)
-        running, ks, centroids, shift = (a[~stop] for a in (running, ks, new_centroids, shift))
+        fixed = ~stop & (new_centroids == centroids).all(axis=(1, 2))
+        for i, r in zip(np.flatnonzero(fixed), running[fixed]):
+            histories[r].append(histories[r][-1])
+            fits[r] = (new_centroids[i, :ks[i]].copy(), labels[i].astype(np.intp),
+                       histories[r][-1], histories[r])
+        going = ~(stop | fixed)
+        if not going.any():
+            return fits
+        running, ks, centroids, shift = (a[going] for a in (running, ks, new_centroids, shift))
 
 
 def _best_fits(X: np.ndarray, cfg: KMeansConfig, k_values: list) -> list:

@@ -139,10 +139,11 @@ def _gather(src: np.ndarray, cells: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _norm_cdf(a: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Standard normal CDF, Φ(a) = erfc(-a/√2)/2, by rational approximations,
-    each run only on the cells its region's mask gathers, in `ws`'s rows; the
-    result is a view of `ws`. Cells with x² > _MAX_EXP_ARG read 0 (1 for
-    a > 0); NaN reads 0, so callers reject it. Relative error stays below
-    1e-13 down to a ≈ -37.5, where Φ underflows to 0."""
+    each run only on the cells its region's mask gathers, in `ws`'s rows, and
+    not at all where the mask is empty (nor the x > 0 flip); the result is a
+    view of `ws`. Cells with x² > _MAX_EXP_ARG read 0 (1 for a > 0); NaN
+    reads 0, so callers reject it. Relative error stays below 1e-13 down to
+    a ≈ -37.5, where Φ underflows to 0."""
     x, ax, cdf, t, t2, num, den, cells, scratch = (row[:a.size] for row in ws.floats + ws.masks)
     np.multiply(a.reshape(-1), math.sqrt(0.5), out=x)
     np.abs(x, out=ax)
@@ -151,6 +152,8 @@ def _norm_cdf(a: np.ndarray, ws: _Workspace) -> np.ndarray:
                                        (8.0, _EXP_END, _ERFC_R, _ERFC_S)):
         np.greater_equal(ax, lo, out=cells)
         cells &= np.less(ax, hi, out=scratch)
+        if not cells.any():  # an empty region runs no gather, rational or exp
+            continue
         r = _gather(ax, cells, t)
         lower = _poly(num_coef, r, num[:r.size])
         lower /= _poly(den_coef, r, den[:r.size])
@@ -160,15 +163,17 @@ def _norm_cdf(a: np.ndarray, ws: _Workspace) -> np.ndarray:
         cdf[cells] = lower
     # one full-array pass: a per-region mask of x > 0 would take a new small
     # size each call, and numpy keeps freed small blocks per size, so RSS creeps
-    np.subtract(1.0, cdf, out=cdf, where=np.greater(x, 0.0, out=cells))
-    r = _gather(x, np.less(ax, 1.0, out=cells), t)
-    s = np.multiply(r, r, out=t2[:r.size])  # x·x = |x|·|x|
-    centre = _poly(_ERF_T, s, num[:r.size])  # 1/2 + erf(x)/2
-    centre /= _poly(_ERF_U, s, den[:r.size])
-    centre *= r
-    centre *= 0.5
-    centre += 0.5
-    cdf[cells] = centre
+    if np.greater(x, 0.0, out=cells).any():
+        np.subtract(1.0, cdf, out=cdf, where=cells)
+    if np.less(ax, 1.0, out=cells).any():
+        r = _gather(x, cells, t)
+        s = np.multiply(r, r, out=t2[:r.size])  # x·x = |x|·|x|
+        centre = _poly(_ERF_T, s, num[:r.size])  # 1/2 + erf(x)/2
+        centre /= _poly(_ERF_U, s, den[:r.size])
+        centre *= r
+        centre *= 0.5
+        centre += 0.5
+        cdf[cells] = centre
     return cdf.reshape(a.shape)
 
 
@@ -204,15 +209,20 @@ class _Workspace:
 @functools.cache
 def _inner_grid():
     """Inner nodes z, their weights times the normal density, Φ(z), each node's
-    floor and the largest z - floor, computed once. φ(floor) is ulp(Φ(z))/8 and
-    floor < -8.6, so for a <= floor Φ(a) <= φ(a)/|a| < ulp/64 (Mills' ratio):
-    Φ(z) - Φ(a) rounds to Φ(z), as does Φ(z) - 0."""
+    floor, the largest z - floor and `clear`, computed once. φ(floor) is
+    ulp(Φ(z))/8 and floor < -8.6, so for a <= floor Φ(a) <= φ(a)/|a| < ulp/64
+    (Mills' ratio): Φ(z) - Φ(a) rounds to Φ(z), as does Φ(z) - 0. `clear` is
+    the largest float qu with z - qu > floor at every node, as rounded; z - qu
+    rounds monotonically, so no cell with a smaller qu reaches its floor."""
     z, zw = _gauss_legendre(
         _INNER_NODES, np.linspace(-_INNER_SPAN, _INNER_SPAN, _INNER_PANELS + 1))
     phi_w = zw * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     cdf_z = _norm_cdf(z, _Workspace(z.size))
     floor = -np.sqrt(-2.0 * np.log(np.spacing(cdf_z) / 8.0 * math.sqrt(2.0 * math.pi)))
-    return z, phi_w, cdf_z, floor, float(np.max(z - floor))
+    clear = float(np.min(z - floor))
+    while np.any(z - clear <= floor):  # a few ulps at most
+        clear = math.nextafter(clear, 0.0)
+    return z, phi_w, cdf_z, floor, float(np.max(z - floor)), clear
 
 
 def _power(width: np.ndarray, n: int, spare: np.ndarray) -> np.ndarray:
@@ -232,7 +242,7 @@ def _power(width: np.ndarray, n: int, spare: np.ndarray) -> np.ndarray:
 def _saturated_row(n: int) -> float:
     """The inner sum of a row whose every cell is skipped, where the width is
     Φ(z): Σ Φ(z)^n·phi_w, powered and summed as a block's row is."""
-    _, phi_w, cdf_z, _, _ = _inner_grid()
+    _, phi_w, cdf_z, _, _, _ = _inner_grid()
     power = _power(cdf_z[None, :].copy(), n, np.empty((1, cdf_z.size)))
     return float(np.add.reduce(np.multiply(power, phi_w, out=power), axis=1)[0])
 
@@ -274,7 +284,7 @@ def studentized_range_cdf(q: float, k: int, df: int, *, ws: _Workspace | None = 
         return 0.0
 
     u, w_dens = _outer_grid(df)
-    z, phi_w, cdf_z, floor, reach = _inner_grid()
+    z, phi_w, cdf_z, floor, reach, clear = _inner_grid()
     ws = ws or _Workspace()
     qu = q * u
     inner = np.empty(u.size)
@@ -292,9 +302,11 @@ def studentized_range_cdf(q: float, k: int, df: int, *, ws: _Workspace | None = 
         np.copyto(tiled, rows)
         np.subtract(a, tiled, out=a)
         # a cell at or below its node's floor is set to -inf, where `_norm_cdf`
-        # gives 0 without running any region on it
-        np.copyto(tiled, floor)
-        np.copyto(a, -np.inf, where=np.less_equal(a, tiled, out=skip))
+        # gives 0 without running any region on it; rows ascend, so a block
+        # whose last q·u is at most `clear` has no such cell
+        if rows[-1, 0] > clear:
+            np.copyto(tiled, floor)
+            np.copyto(a, -np.inf, where=np.less_equal(a, tiled, out=skip))
         width = _norm_cdf(a, ws)  # `ws`'s third row
         np.copyto(tiled, cdf_z)
         np.subtract(tiled, width, out=width)

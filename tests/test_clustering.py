@@ -416,6 +416,31 @@ class TestBatchedLloyd:
         for fit, start in zip(got, starts):
             assert_same_fit(fit, per_restart_lloyd(X, start.copy()))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_ends_at_the_update_that_moves_no_centroid(self, seed):
+        # the pass after that update would repeat the last: it is not run, and
+        # its inertia is appended as it would have been
+        X = np.random.default_rng(seed).normal(size=(200, 2))
+        cfg = KMeansConfig(k=5, n_restarts=1, seed=seed)
+        start = per_restart_kmeanspp(X, 5, np.random.default_rng(restart_seed(seed, 0)))
+        want = per_restart_lloyd(X, start)
+        assert want[3][-1] == want[3][-2] and len(want[3]) <= KMeansConfig.max_iter
+        with mock.patch.object(clustering, "_nearest", wraps=_nearest) as nearest:
+            model = kmeans_fit(X, cfg)
+        assert np.array(model.inertia_history).tobytes() == np.array(want[3]).tobytes()
+        assert model.centroids.tobytes() == want[0].tobytes()
+        assert nearest.call_count == len(want[3]) - 1
+
+    def test_nearest_stops_at_the_last_slot_in_use(self):
+        X = np.random.default_rng(0).normal(size=(30, 2))
+        C = np.random.default_rng(1).normal(size=(3, 6, 2))
+        ws = _Workspace(X, 3)
+        with mock.patch.object(clustering, "_sq_dists", wraps=_sq_dists) as dists:
+            best, labels = _nearest(ws, C, np.array([4, 2, 2]))
+        assert dists.call_count == 4  # slots 0-3; slots 4 and 5 serve no run
+        d2 = np.stack([index_order_sq_dists(X, c[:k]).min(axis=1) for c, k in zip(C, (4, 2, 2))])
+        assert best.tobytes() == d2.tobytes()
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 12),
            distinct=st.sampled_from([1, 2, 3, None]), n_runs=st.integers(1, 10),
            k=st.integers(1, 10))

@@ -467,7 +467,7 @@ class TestSkippedCells:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_floor_bound_holds_bit_for_bit(self):
-        _, _, cdf_z, floor, reach = inference._inner_grid()
+        _, _, cdf_z, floor, reach, _ = inference._inner_grid()
         assert floor.size == 160 and np.all(floor <= -8.6)
         assert np.allclose(np.exp(-0.5 * floor * floor) / math.sqrt(2.0 * math.pi),
                            np.spacing(cdf_z) / 8.0, rtol=1e-12, atol=0.0)
@@ -482,7 +482,7 @@ class TestSkippedCells:
     def test_normal_cdf_sees_live_rows_with_skipped_cells_at_minus_inf(self):
         # the benchmark's median Tukey pair (q = 17.9, df = 1,000): 47 of 96 rows
         # live, and in them every cell at or below its node's floor reads -inf
-        z, _, _, floor, reach = inference._inner_grid()
+        z, _, _, floor, reach, _ = inference._inner_grid()
         u, _ = inference._outer_grid(1000)
         seen, norm_cdf = [], inference._norm_cdf
         with mock.patch.object(inference, "_norm_cdf",
@@ -497,14 +497,14 @@ class TestSkippedCells:
 
     @pytest.mark.parametrize("k", range(2, 41))
     def test_saturated_row_matches_block_bit_for_bit(self, k):
-        z, phi_w, cdf_z, floor, reach = inference._inner_grid()
+        z, phi_w, cdf_z, floor, reach, clear = inference._inner_grid()
         # the reference's sums of rows whose width is Φ(z) in every cell
         want = _reference_rows(np.tile(cdf_z, (3, 1)), k)
         assert np.array_equal(_bits(want), _bits([inference._saturated_row(k - 1)] * 3))
         # the kernel's own block, with no row cut, on rows whose cells are all skipped
         cases = [(q, df) for df in (5, 1100) for q in (18.0, 30.0, 1e3, math.inf)]
         got = [studentized_range_cdf(q, k, df) for q, df in cases]
-        uncut = (z, phi_w, cdf_z, floor, math.inf)
+        uncut = (z, phi_w, cdf_z, floor, math.inf, clear)
         with mock.patch.object(inference, "_inner_grid", return_value=uncut):
             want = [studentized_range_cdf(q, k, df) for q, df in cases]
         assert np.array_equal(_bits(got), _bits(want))
@@ -541,6 +541,127 @@ class TestSkippedCells:
             width = _reference_width(q, df)
             want += [_reference_power(width.copy(), k, df) for k in ks]
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def _regions(a):
+    """Which of `_norm_cdf`'s passes `a` gives work: the P/Q, R/S and centre
+    regions, and the flip of the positive cells."""
+    ax = np.abs(np.multiply(a, math.sqrt(0.5)))
+    return {"P/Q": bool(np.any((ax >= 1.0) & (ax < 8.0))),
+            "R/S": bool(np.any((ax >= 8.0) & (ax < inference._EXP_END))),
+            "centre": bool(np.any(ax < 1.0)), "positive": bool(np.any(a > 0.0))}
+
+
+def _rationals(regions):
+    """The `_poly` calls of `_norm_cdf`: a numerator and a denominator per
+    region that holds a cell."""
+    return 2 * (regions["P/Q"] + regions["R/S"] + regions["centre"])
+
+
+class TestEmptyRegions:
+    """A `_norm_cdf` region whose mask selects no cell runs no gather,
+    rational or exp, the x > 0 flip runs only on a block with a positive
+    cell, and a block whose last q·u is at most `clear` runs no floor test;
+    the bytes must be those of the whole-array kernel."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a, empty", [
+        (np.linspace(-11.0, 5.0, 15_360), {"R/S"}),  # |x| < 8 everywhere
+        (np.linspace(-40.0, 5.0, 15_360), set()),
+        (np.concatenate([np.linspace(-40.0, -1.5, 7_680), np.linspace(1.5, 9.0, 7_680)]),
+         {"centre"}),
+        (np.linspace(-40.0, 0.0, 15_360), {"positive"}),  # 0 itself is not positive
+        (np.linspace(-11.0, -1.5, 15_360), {"R/S", "centre", "positive"}),
+        (np.full(15_360, -np.inf), {"P/Q", "R/S", "centre", "positive"}),  # every cell skipped
+        (np.linspace(-0.5, 0.5, 15_360), {"P/Q", "R/S"}),
+    ])
+    def test_block_matches_whole_array_kernel(self, a, empty):
+        a = a.reshape(96, 160)
+        regions = _regions(a)
+        assert {name for name, live in regions.items() if not live} == empty
+        with mock.patch.object(inference, "_poly", wraps=inference._poly) as poly:
+            got = _norm_cdf(a)
+        assert np.array_equal(got.view(np.int64), _norm_cdf_whole_array(a).view(np.int64))
+        assert poly.call_count == _rationals(regions)
+
+    def _blocks(self, q, k, df):
+        """The cdf and, per block, the `_norm_cdf` input and its `_poly` calls."""
+        blocks, norm_cdf = [], inference._norm_cdf
+        with mock.patch.object(inference, "_poly", wraps=inference._poly) as poly:
+            def record(a, ws):
+                seen, before = a.copy(), poly.call_count  # `a` is `ws`'s first row
+                out = norm_cdf(a, ws)
+                blocks.append((seen, poly.call_count - before))
+                return out
+            with mock.patch.object(inference, "_norm_cdf", record):
+                got = studentized_range_cdf(q, k, df)
+        return got, blocks
+
+    def test_tail_pairs_at_df_9_match_reference(self):
+        # CI's table: 3 groups of 4, df = 9, q = 1.5 and two q > 40; their
+        # blocks hold R/S cells or none
+        values = (10, 11, 12, 13, 11, 12, 13, 14, 40, 41, 42, 43)
+        result = tukey_hsd(values, [i // 4 + 1 for i in range(12)])
+        qs = sorted(p.q_stat for p in result.pairs)
+        assert result.df_within == 9 and qs[0] < 2.0 and qs[1] > 40.0
+        seen = set()
+        for q in qs:
+            got, blocks = self._blocks(q, 3, 9)
+            assert np.array_equal(_bits(got), _bits(_studentized_range_cdf_reference(q, 3, 9)))
+            for a, calls in blocks:
+                regions = _regions(a)
+                seen.add(regions["R/S"])
+                assert calls == _rationals(regions)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("q, k, df, empty", [
+        (2.0, 12, 1000, {"R/S"}),  # CI's check: 4 `_poly` calls, not 6
+        # q·u > 11.9 on every row: a < -3.4, and each cell below -11.3 is skipped
+        (16.5, 12, 1000, {"R/S", "centre", "positive"}),
+    ])
+    def test_quadrature_blocks_skip_empty_regions(self, q, k, df, empty):
+        got, blocks = self._blocks(q, k, df)
+        assert np.array_equal(_bits(got), _bits(_studentized_range_cdf_reference(q, k, df)))
+        regions = [_regions(a) for a, _ in blocks]
+        assert {name for name in regions[0] if not any(r[name] for r in regions)} == empty
+        assert [calls for _, calls in blocks] == [_rationals(r) for r in regions]
+
+    def test_clear_is_the_largest_qu_that_reaches_no_floor(self):
+        z, _, _, floor, _, clear = inference._inner_grid()
+        assert 3.89 < clear <= np.min(z - floor)
+        assert np.all(z - clear > floor)
+        assert np.any(z - np.nextafter(clear, np.inf) <= floor)
+
+    @pytest.mark.parametrize("df", [1, 5, 20, 1000])
+    def test_floor_test_skipped_up_to_clear(self, df):
+        # the q at which each block's last row meets `clear` and two floats
+        # either side: a block whose last q·u is at most `clear` runs no floor
+        # test, which is two `np.copyto` calls of the block's six
+        u, _ = inference._outer_grid(df)
+        z, _, _, floor, reach, clear = inference._inner_grid()
+        block = inference._BLOCK_ROWS
+        ends = [min(lo + block, u.size) - 1 for lo in range(0, u.size, block)]
+        qs = []
+        for r in ends:
+            q = clear / u[r]
+            qs += [q, *np.nextafter(q, [0.0, np.inf]),
+                   *np.nextafter(np.nextafter(q, [0.0, np.inf]), [0.0, np.inf])]
+        qs = [float(q) for q in qs]
+        for r in ends:  # each block's last row on either side of `clear`
+            assert {q * u[r] > clear for q in qs} == {False, True}
+        for q in qs:
+            qu = q * u
+            # no cell of a row at or below `clear` is at or below its floor
+            assert np.all(z[None, :] - qu[qu <= clear, None] > floor)
+            live = int(np.searchsorted(qu, reach, side="right"))
+            lasts = [min(lo + block, live) - 1 for lo in range(0, live, block)]
+            tested = sum(bool(qu[r] > clear) for r in lasts)
+            with mock.patch.object(np, "copyto", wraps=np.copyto) as copyto:
+                got = [studentized_range_cdf(q, k, df) for k in (2, 6, 12)]
+            assert copyto.call_count == 3 * (4 * len(lasts) + 2 * tested)
+            width = _reference_width(q, df)
+            want = [_reference_power(width.copy(), k, df) for k in (2, 6, 12)]
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestSharedWorkspace:
